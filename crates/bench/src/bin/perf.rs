@@ -33,7 +33,7 @@ use std::time::Instant;
 use criterion::black_box;
 use wsn_core::config::ProtocolConfig;
 use wsn_core::forward;
-use wsn_core::setup::{Backend, Scenario, SetupParams};
+use wsn_core::setup::{Scenario, SetupParams};
 use wsn_crypto::aes::Aes128;
 use wsn_crypto::authenc::AuthEnc;
 use wsn_crypto::cbcmac::CbcMac;
@@ -41,7 +41,6 @@ use wsn_crypto::hmac::HmacSha256;
 use wsn_crypto::prf::Prf;
 use wsn_crypto::rc5::Rc5;
 use wsn_crypto::{BlockCipher, Key128};
-use wsn_net::LoopbackNet;
 
 /// Network size for the end-to-end sweeps (includes the base station).
 const E2E_N: usize = 150;
@@ -142,14 +141,20 @@ fn run_micro(samples: usize) -> Vec<Micro> {
     let mut block8 = [0u8; 8];
     bench(
         "rc5_block_encrypt",
-        measure(samples, || rc5.encrypt_block(&mut block8)),
+        measure(samples, || {
+            rc5.encrypt_block(&mut block8);
+            black_box(block8)
+        }),
     );
 
     let aes = Aes128::new(&key);
     let mut block16 = [0u8; 16];
     bench(
         "aes128_block_encrypt",
-        measure(samples, || aes.encrypt_block(&mut block16)),
+        measure(samples, || {
+            aes.encrypt_block(&mut block16);
+            black_box(block16)
+        }),
     );
 
     bench(
@@ -246,49 +251,13 @@ fn run_end_to_end(quick: bool) -> Vec<EndToEnd> {
     rates.sort_by(|a, b| a.partial_cmp(b).unwrap());
     let steady = rates[rates.len() / 2];
 
-    // The same steady-state workload through the wsn-net loopback
-    // backend: identical network (same `(n, density, seed)` tuple),
-    // identical warm-up and pass structure, but dispatched through the
-    // `Transport` seam's event engine instead of the simulator. Keeps
-    // the seam's overhead visible next to the simulator number.
-    let mut net = LoopbackNet::from_deployment(
-        Scenario::new(SetupParams {
-            n: E2E_N,
-            density: E2E_DENSITY,
-            seed: E2E_SEED,
-            cfg: ProtocolConfig::default(),
-        })
-        .backend(Backend::Loopback)
-        .into_deployment(),
-    );
-    net.run(); // drain key setup before raising the gradient
-    net.establish_gradient();
-    let net_sensors = net.sensor_ids();
-    for i in 0..20usize {
-        let src = net_sensors[i % net_sensors.len()];
-        net.send_reading(src, vec![0x5E, i as u8], true);
-    }
-    let mut net_rates: Vec<f64> = Vec::with_capacity(passes);
-    for pass in 0..passes {
-        let start = Instant::now();
-        for i in 0..readings {
-            let src = net_sensors[(pass * 7 + i) % net_sensors.len()];
-            net.send_reading(src, vec![0x5E, i as u8], true);
-        }
-        net_rates.push(readings as f64 / start.elapsed().as_secs_f64());
-    }
-    net_rates.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let net_loopback = net_rates[net_rates.len() / 2];
-
     println!("  setup: {setup_ms:.1} ms ({setup_events_per_sec:.0} events/s)");
     println!("  steady_state: {steady:.1} readings/s");
-    println!("  net_loopback: {net_loopback:.1} readings/s");
 
     vec![
         ("setup_ms", setup_ms),
         ("setup_events_per_sec", setup_events_per_sec),
         ("steady_state_readings_per_sec", steady),
-        ("net_loopback_readings_per_sec", net_loopback),
     ]
 }
 

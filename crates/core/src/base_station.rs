@@ -492,8 +492,8 @@ impl BaseStation {
 /// [`crate::persist`]).
 impl BaseStation {
     /// Records a mutation if journaling is on. The closure keeps the
-    /// disabled path allocation-free — most deployments (the simulator,
-    /// the loopback engine) never enable the journal.
+    /// disabled path allocation-free — most deployments (every simulator
+    /// run) never enable the journal.
     fn record(&mut self, m: impl FnOnce() -> StateMutation) {
         if let Some(j) = self.journal.as_mut() {
             j.push(m());

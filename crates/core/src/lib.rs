@@ -82,7 +82,7 @@ pub mod prelude {
     pub use crate::keys::{NodeKeyMaterial, Provisioner};
     pub use crate::node::{ProtocolApp, ProtocolNode, Role};
     pub use crate::setup::{
-        run_setup, Backend, Deployment, NetworkHandle, Scenario, SetupOutcome, SetupParams,
+        run_setup, Backend, NetworkHandle, Scenario, SetupOutcome, SetupParams,
     };
     pub use crate::sink::{Handoff, SinkNodeState, SinkSet, SinkTable};
     pub use crate::stats::SetupReport;

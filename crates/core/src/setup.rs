@@ -30,33 +30,11 @@
 //! * [`Scenario::chaos`] — a `wsn_chaos::FaultPlan` carried on the
 //!   returned handle; drive it with [`NetworkHandle::run_chaos`] once
 //!   the steady-state workload is queued.
-//! * [`Scenario::backend`] — which engine runs the network: the
-//!   discrete-event simulator (single-heap or spatially sharded, see
-//!   [`Backend::Sim`]) or the `wsn-net` loopback transport
-//!   (`wsn_net::run_scenario` consumes the scenario for that path).
+//! * [`Scenario::backend`] — which variant of the discrete-event
+//!   simulator runs key setup: single-heap or spatially sharded, see
+//!   [`Backend::Sim`].
 //!
-//! Construction — topology, provisioning, app building — is shared by
-//! every backend through [`Deployment`], so a differential test comparing
-//! two backends starts from literally the same network.
-//!
-//! # Migrating from the `run_setup_*` ladder
-//!
-//! Earlier revisions grew one entry point per concern
-//! (`run_setup_with_radio`, `run_setup_traced`, `run_setup_with_attack`);
-//! those wrappers went through a deprecation cycle and are now removed.
-//! [`run_setup`] itself stays, as the no-options common case:
-//!
-//! | old                                    | new                                              |
-//! |----------------------------------------|--------------------------------------------------|
-//! | `run_setup(&p)`                        | unchanged (or `Scenario::new(p).run()`)          |
-//! | `run_setup_with_radio(&p, radio)`      | `Scenario::new(p).radio(radio).run()`            |
-//! | `run_setup_traced(&p, sink)`           | `Scenario::new(p).trace(sink).run()`             |
-//! | `run_setup_with_attack(&p, radio, f)`  | `Scenario::new(p).radio(radio).attack(f).run()`  |
-//! | `wsn_chaos::run_plan(&mut h, &plan, t)`| `crate::chaos::run_plan` (or `.chaos(plan)` + `h.run_chaos(t)`) |
-//!
-//! The builder is behavior-preserving: for any fixed `SetupParams` it
-//! replays the exact event stream of the old entry points, byte-identical
-//! under tracing (`tests/scenario_equivalence.rs` is the referee).
+//! [`run_setup`] stays as the no-options common case.
 
 use crate::base_station::{BaseStation, TIMER_BEACON, TIMER_REVOKE};
 use crate::config::{ProtocolConfig, RefreshMode};
@@ -105,7 +83,10 @@ pub struct SetupOutcome {
 /// construction but before the event loop starts.
 type AttackHook<'a> = Box<dyn FnOnce(&mut Simulator<ProtocolApp>) + 'a>;
 
-/// Which engine a [`Scenario`] runs its network on.
+/// Which engine a [`Scenario`] runs its network on. There is one event
+/// core, the discrete-event simulator; seeded datagram faults run on it
+/// through `Simulator::set_delivery_hook` (see `wsn_net::fault`), and
+/// the real socket transport lives in `wsn-net`'s UDP server.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Backend {
     /// The discrete-event simulator. `shards` selects the engine variant:
@@ -120,11 +101,6 @@ pub enum Backend {
         /// Region-count selector for the sharded engine.
         shards: Shards,
     },
-    /// The in-process loopback transport backend (`wsn-net`), exercising
-    /// the real datagram framing path. A `Scenario` with this backend is
-    /// consumed by `wsn_net::run_scenario`, which routes construction
-    /// through [`Scenario::into_deployment`].
-    Loopback,
 }
 
 impl Default for Backend {
@@ -135,39 +111,31 @@ impl Default for Backend {
     }
 }
 
-/// A constructed-but-not-yet-run network: the topology, the provisioned
-/// apps, and the authorities every backend needs. This is the shared
-/// product of [`Scenario`]'s construction phase — the simulator backends
-/// and the `wsn-net` loopback backend all start from one of these, which
-/// is what makes cross-backend differential tests compare the *same*
-/// network rather than two builder code paths.
-pub struct Deployment {
+/// A constructed-but-not-yet-run network: the product of [`Scenario`]'s
+/// construction phase, which either simulator variant then runs.
+struct Deployment {
     /// Deployed topology: sinks on their deterministic grid, sensors
     /// uniform at random.
-    pub topo: Topology,
+    topo: Topology,
     /// One app per node, in node-id order.
-    pub apps: Vec<ProtocolApp>,
+    apps: Vec<ProtocolApp>,
     /// The provisioning authority (registry complete for all `n` nodes).
-    pub provisioner: Provisioner,
+    provisioner: Provisioner,
     /// The protocol configuration in force.
-    pub cfg: ProtocolConfig,
+    cfg: ProtocolConfig,
     /// Number of sinks (1 when the multi-sink subsystem is off).
-    pub n_sinks: u32,
+    n_sinks: u32,
     /// The scenario's master seed; engines derive their sub-streams from
-    /// it (`derive_seed(seed, 2)` is the event-engine stream by
-    /// convention).
-    pub seed: u64,
+    /// it (`derive_seed(seed, 2)` is the event-engine stream).
+    seed: u64,
     /// The radio model.
-    pub radio: RadioConfig,
+    radio: RadioConfig,
     /// Trace sink to install before the first event, if tracing.
-    pub sink: Option<Box<dyn wsn_trace::TraceSink>>,
+    sink: Option<Box<dyn wsn_trace::TraceSink>>,
 }
 
 /// The unified experiment entry point: composes radio model, tracing,
 /// an attack hook, and a fault plan, then runs the key-setup phase.
-///
-/// See the [module docs](self) for the migration table from the old
-/// `run_setup_*` ladder.
 pub struct Scenario<'a> {
     params: SetupParams,
     radio: RadioConfig,
@@ -204,16 +172,6 @@ impl<'a> Scenario<'a> {
         self
     }
 
-    /// The backend this scenario will run on.
-    pub fn backend_kind(&self) -> Backend {
-        self.backend
-    }
-
-    /// The radio model this scenario will deploy with.
-    pub fn radio_config(&self) -> &RadioConfig {
-        &self.radio
-    }
-
     /// Installs a trace sink before the first event, so the trace covers
     /// the election, link, and erase phases in full. The sink stays
     /// installed on the returned handle; retrieve it with
@@ -240,24 +198,6 @@ impl<'a> Scenario<'a> {
     pub fn chaos(mut self, plan: wsn_chaos::FaultPlan) -> Self {
         self.chaos = Some(plan);
         self
-    }
-
-    /// Consumes the scenario, returning the constructed-but-not-yet-run
-    /// network. This is the construction half of [`Scenario::run`],
-    /// exposed so non-simulator backends (the `wsn-net` loopback) build
-    /// the *same* network the simulator would. Attack hooks and fault
-    /// plans are simulator-engine features, so a scenario carrying one
-    /// cannot be lowered to a bare deployment.
-    pub fn into_deployment(self) -> Deployment {
-        assert!(
-            self.attack.is_none(),
-            "attack hooks are simulator-only; keep Backend::Sim"
-        );
-        assert!(
-            self.chaos.is_none(),
-            "fault plans are simulator-only; keep Backend::Sim"
-        );
-        Self::build_deployment(self.params, self.radio, self.sink)
     }
 
     /// Shared construction: topology, provisioning, one app per node.
@@ -344,12 +284,7 @@ impl<'a> Scenario<'a> {
     /// Runs initialization + cluster key setup + link establishment +
     /// `Km` erasure on a fresh random deployment.
     pub fn run(self) -> SetupOutcome {
-        let shards = match self.backend {
-            Backend::Sim { shards } => shards,
-            Backend::Loopback => panic!(
-                "Scenario::run drives the simulator; use wsn_net::run_scenario for Backend::Loopback"
-            ),
-        };
+        let Backend::Sim { shards } = self.backend;
         let attack = self.attack;
         let chaos = self.chaos;
         let dep = Self::build_deployment(self.params, self.radio, self.sink);

@@ -254,11 +254,9 @@ pub fn sink_positions(k: u32, side: f64) -> Vec<Point> {
         .collect()
 }
 
-/// The shared topology constructor for multi-sink runs, used by both
-/// the simulator scenario and the loopback backend so their worlds are
-/// identical. With sinks disabled this is exactly
-/// `Topology::random(with_density(n, density), seed)` — byte-identical
-/// with pre-multi-sink builds. With sinks enabled, the first
+/// The topology constructor for multi-sink runs. With sinks disabled
+/// this is exactly `Topology::random(with_density(n, density), seed)` —
+/// byte-identical with pre-multi-sink builds. With sinks enabled, the first
 /// `sinks.count` node positions are overridden by the deterministic
 /// [`sink_positions`] grid (sensors keep their random draws, so the
 /// `k = 1` arm is a fair same-placement ablation for `k > 1`).

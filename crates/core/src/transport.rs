@@ -9,9 +9,9 @@
 //! emit trace events. The discrete-event simulator's per-invocation
 //! [`Ctx`](wsn_sim::node::Ctx) is the first implementation (the blanket
 //! impl below simply delegates, so simulator runs are byte-identical to
-//! the pre-seam code); the `wsn-net` crate provides real-I/O backends
-//! (an in-process loopback engine and a UDP reactor) that drive the
-//! same unmodified state machines over actual sockets.
+//! the pre-seam code); the `wsn-net` crate provides a real-I/O backend
+//! (a UDP reactor) that drives the same unmodified state machines over
+//! actual sockets.
 //!
 //! Handlers take `&mut impl Transport`, so every backend is
 //! monomorphized — the simulator hot path pays no dynamic dispatch for

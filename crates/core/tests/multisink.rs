@@ -3,7 +3,9 @@
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+use wsn_core::msg::MAX_FRAME_BYTES;
 use wsn_core::prelude::*;
+use wsn_core::routing::NO_GRADIENT;
 use wsn_core::setup::SetupParams;
 
 fn multi_sink_outcome(n: usize, k: u32, seed: u64) -> NetworkHandle {
@@ -91,46 +93,163 @@ fn sink_events_appear_in_trace() {
     }
 }
 
-/// Killing a sink re-homes every node it served onto survivors without
-/// losing a single key-table entry, and delivery continues.
-#[test]
-fn sink_failover_conserves_key_entries() {
-    let mut h = multi_sink_outcome(60, 3, 11);
+/// Kills sink `dead` in a 60-node, `k`-sink deployment and checks that
+/// every node it served re-homes onto survivors without losing a single
+/// key-table entry; after the survivors re-beacon no node routes to the
+/// dead sink, and delivery continues at survivors only.
+fn kill_sink_and_check(k: u32, dead: u32, seed: u64) {
+    let mut h = multi_sink_outcome(60, k, seed);
     h.establish_gradient();
     h.rehome_to_nearest();
 
     let union_before: usize = h
         .sink_ids()
         .iter()
-        .map(|&k| h.sink(k).registered_nodes().len())
+        .map(|&s| h.sink(s).registered_nodes().len())
         .sum();
-    let served_by_dead = h.sink_set().unwrap().nodes_served_by(1);
-    assert!(!served_by_dead.is_empty());
+    let served_by_dead = h.sink_set().unwrap().nodes_served_by(dead);
+    assert!(
+        !served_by_dead.is_empty(),
+        "dead sink served nobody (K = {k})"
+    );
 
-    let moved = h.fail_sink(1);
+    let moved = h.fail_sink(dead);
     assert_eq!(moved, served_by_dead.len());
-    // The dead sink's partition drained into the survivors: the union is
-    // conserved and the dead sink keeps only its own entry.
+    // The dead sink's partition drained into the survivors: the union
+    // is conserved and the dead sink keeps only its own entry.
     let union_after: usize = h
         .sink_ids()
         .iter()
-        .map(|&k| h.sink(k).registered_nodes().len())
+        .map(|&s| h.sink(s).registered_nodes().len())
         .sum();
     assert_eq!(union_before, union_after);
-    assert_eq!(h.sink(1).registered_nodes(), vec![1]);
+    assert_eq!(h.sink(dead).registered_nodes(), vec![dead]);
     for node in &served_by_dead {
         let now_at = h.sink_set().unwrap().serving(*node).unwrap();
-        assert_ne!(now_at, 1, "node {node} still homed at the dead sink");
+        assert_ne!(now_at, dead, "node {node} still homed at the dead sink");
     }
 
-    // Survivors re-beacon, nodes re-learn gradients, traffic still flows.
+    // Survivors re-beacon (the dead sink stays silent), nodes
+    // re-learn gradients with no path left to the dead sink, and
+    // traffic still flows — none of it to the dead sink.
     h.establish_gradient();
+    for id in h.sensor_ids() {
+        assert_eq!(
+            h.sensor(id).sink_table().hops_to(dead),
+            NO_GRADIENT,
+            "node {id} still routes to dead sink {dead} (K = {k})"
+        );
+    }
     h.rehome_to_nearest();
     let before = h.total_received();
     for id in h.sensor_ids() {
         h.send_reading(id, vec![0xCD, id as u8], true);
     }
-    assert!(h.total_received() > before, "no delivery after failover");
+    assert!(
+        h.total_received() > before,
+        "no delivery after failover (K = {k})"
+    );
+    assert!(
+        h.sink(dead).received.is_empty(),
+        "dead sink accepted a post-kill reading (K = {k})"
+    );
+}
+
+/// Killing a sink re-homes every node it served onto survivors without
+/// losing a single key-table entry, and delivery continues.
+#[test]
+fn sink_failover_conserves_key_entries() {
+    kill_sink_and_check(3, 1, 11);
+}
+
+/// With K = 2 and K = 3 and the highest sink killed, no node keeps a
+/// gradient to the dead sink, no post-kill reading lands there, and
+/// survivors still receive traffic.
+#[test]
+fn sink_kill_reroutes_to_survivors() {
+    for (k, seed) in [(2u32, 4102u64), (3, 4103)] {
+        kill_sink_and_check(k, k - 1, seed);
+    }
+}
+
+/// The failure path is a pure function of the scenario: two identical
+/// kill-a-sink runs produce byte-identical traces and outcomes.
+#[test]
+fn sink_kill_is_deterministic() {
+    let run = || {
+        let mut h = Scenario::new(SetupParams {
+            n: 60,
+            density: 10.0,
+            seed: 2005,
+            cfg: ProtocolConfig::default().with_sinks(3),
+        })
+        .trace(MemorySink::new())
+        .run()
+        .handle;
+        h.establish_gradient();
+        h.rehome_to_nearest();
+        let handoffs = h.fail_sink(2);
+        h.establish_gradient();
+        for (i, src) in h.sensor_ids().into_iter().take(8).enumerate() {
+            if h.sensor(src).role() == Role::Head {
+                h.send_reading(src, vec![i as u8; 4], true);
+            }
+        }
+        (
+            handoffs,
+            h.sink(0).received.clone(),
+            h.sink(1).received.clone(),
+            h.sink(0).registered_nodes(),
+            h.sink(1).registered_nodes(),
+            h.sim().events_processed(),
+            h.sim_mut().take_trace().expect("trace installed").drain(),
+        )
+    };
+    assert!(run() == run(), "kill-a-sink replay diverged");
+}
+
+/// Every frame the protocol transmits fits the shared `MAX_FRAME_BYTES`
+/// ceiling the socket transport enforces, across a multi-sink workout
+/// with recovery and resource budgets on: setup, gradients, rehoming,
+/// a sink kill, and a 64-byte reading from every sensor.
+#[test]
+fn protocol_frames_fit_max_frame_bytes() {
+    let mut h = Scenario::new(SetupParams {
+        n: 60,
+        density: 12.0,
+        seed: 3,
+        cfg: ProtocolConfig::default()
+            .with_sinks(3)
+            .with_recovery(RecoveryConfig::default())
+            .with_resources(ResourceConfig::default()),
+    })
+    .trace(MemorySink::new())
+    .run()
+    .handle;
+    h.establish_gradient();
+    h.rehome_to_nearest();
+    h.fail_sink(2);
+    h.establish_gradient();
+    for src in h.sensor_ids() {
+        h.send_reading(src, vec![0xAB; 64], true);
+    }
+    assert!(h.total_received() > 0, "nothing delivered");
+    let records = h.sim_mut().take_trace().expect("trace installed").drain();
+    let mut frames = 0;
+    for r in &records {
+        if let TraceEvent::TxBroadcast { payload, .. } | TraceEvent::TxUnicast { payload, .. } =
+            &r.event
+        {
+            frames += 1;
+            assert!(
+                payload.len() <= MAX_FRAME_BYTES,
+                "{}-byte frame from node {} exceeds MAX_FRAME_BYTES",
+                payload.len(),
+                r.node
+            );
+        }
+    }
+    assert!(frames > 0, "no transmissions traced");
 }
 
 /// `with_sinks(1)` uses the multi-sink machinery (grid placement,

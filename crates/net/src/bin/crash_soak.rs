@@ -32,25 +32,10 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
+use wsn_net::cli::{num, opt};
 use wsn_net::load::{provision_motes, run, EpochSchedule, LoadParams, RetryConfig};
 use wsn_net::udp::wall_us;
 use wsn_net::{wal, FaultConfig};
-
-fn opt(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-fn num(args: &[String], name: &str, default: u64) -> u64 {
-    opt(args, name).map_or(default, |v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("bad value for {name}: {v}");
-            std::process::exit(2);
-        })
-    })
-}
 
 /// The last `errors:` stats line the daemon printed, parsed.
 #[derive(Clone, Copy, Debug, Default)]

@@ -13,24 +13,9 @@
 
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
+use wsn_net::cli::{num, opt};
 use wsn_net::load::{provision_motes, run, EpochSchedule, LoadParams, RetryConfig};
 use wsn_net::FaultConfig;
-
-fn opt(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-fn num(args: &[String], name: &str, default: u64) -> u64 {
-    opt(args, name).map_or(default, |v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("bad value for {name}: {v}");
-            std::process::exit(2);
-        })
-    })
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

@@ -23,21 +23,10 @@ use std::time::Duration;
 use wsn_core::config::{CounterMode, ProtocolConfig, RecoveryConfig, ResourceConfig};
 use wsn_core::forward::{e2e_seal_with, sealer, wrap_frame};
 use wsn_core::msg::{DataUnit, Inner};
+use wsn_net::cli::num;
 use wsn_net::load::{provision_motes, run, LoadParams};
 use wsn_net::udp::wall_us;
 use wsn_net::{UdpServer, UdpServerConfig};
-
-fn num(args: &[String], name: &str, default: u64) -> u64 {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .map_or(default, |v| {
-            v.parse().unwrap_or_else(|_| {
-                eprintln!("bad value for {name}: {v}");
-                std::process::exit(2);
-            })
-        })
-}
 
 /// Floods protocol-shaped garbage at the server: well-formed wrapped
 /// headers claiming a handful of real cluster ids, sealed under a key

@@ -41,24 +41,9 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
+use wsn_net::cli::{num, opt};
 use wsn_net::load::{provision_motes, run_with_army, LoadParams, LoadReport, Mote, RetryConfig};
 use wsn_net::{wal, FaultConfig};
-
-fn opt(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-fn num(args: &[String], name: &str, default: u64) -> u64 {
-    opt(args, name).map_or(default, |v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("bad value for {name}: {v}");
-            std::process::exit(2);
-        })
-    })
-}
 
 /// The last stats line's error counters, plus control-plane counters,
 /// for one daemon instance.

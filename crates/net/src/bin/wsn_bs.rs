@@ -17,27 +17,12 @@ use std::net::SocketAddr;
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 use wsn_core::config::{CounterMode, ProtocolConfig, RecoveryConfig, ResourceConfig};
+use wsn_net::cli::{num, opt};
 use wsn_net::{ControlPlane, ControlPlaneConfig, ControlTiming, FaultConfig};
 use wsn_net::{UdpServer, UdpServerConfig};
 
 fn flag(args: &[String], name: &str) -> bool {
     args.iter().any(|a| a == name)
-}
-
-fn opt(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-fn num(args: &[String], name: &str, default: u64) -> u64 {
-    opt(args, name).map_or(default, |v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("bad value for {name}: {v}");
-            std::process::exit(2);
-        })
-    })
 }
 
 fn main() {

@@ -1,16 +1,17 @@
-//! Deterministic fault injection for the real socket path.
+//! Deterministic datagram fault injection.
 //!
-//! `wsn-chaos` can crash nodes, partition regions and swap link models —
-//! but only inside the simulator. This module extends seeded fault
-//! schedules to the transport backends: a [`FaultEngine`] decides, per
-//! datagram, whether to drop, duplicate, reorder, delay or corrupt it,
-//! and two hosts consume those decisions:
+//! `wsn-chaos` crashes nodes, partitions regions and swaps link models
+//! inside the simulator. This module adds seeded per-datagram schedules:
+//! a [`FaultEngine`] decides, per datagram, whether to drop, duplicate,
+//! reorder, delay or corrupt it, and two hosts consume those decisions:
 //!
 //! * [`FaultySocket`] wraps a `std::net::UdpSocket` (the load
 //!   generator's send/recv path), holding delayed frames in user space
 //!   and releasing them on later calls;
-//! * [`crate::loopback::LoopbackNet::install_faults`] applies the same
-//!   decisions to the loopback engine's delivery queue.
+//! * the simulator, through its schedule-time delivery hook
+//!   (`Simulator::set_delivery_hook` with a [`FaultEngine`]), applies
+//!   the same decisions to its delivery queue and traces each one as a
+//!   `NetFaultInjected` event.
 //!
 //! Determinism is the contract throughout:
 //!
@@ -30,7 +31,7 @@ use std::net::{SocketAddr, UdpSocket};
 use std::time::Instant;
 use wsn_chaos::gilbert::{GeParams, GilbertElliott};
 use wsn_sim::event::SimTime;
-use wsn_sim::link::LinkProcess;
+use wsn_sim::link::{DeliveryHook, LinkProcess, ScheduledCopy};
 use wsn_sim::node::NodeId;
 use wsn_sim::rng::derive_seed;
 
@@ -121,43 +122,8 @@ impl FaultCounters {
     }
 }
 
-/// One delivery the engine scheduled for a datagram (a dropped datagram
-/// schedules none; a duplicated one schedules two).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ScheduledCopy {
-    /// Deliver this many microseconds later than the unperturbed path.
-    pub delay_us: u64,
-    /// Flip payload byte `offset % len` with this XOR mask (never 0).
-    pub corrupt: Option<(usize, u8)>,
-}
-
-impl ScheduledCopy {
-    /// The unperturbed delivery.
-    pub fn clean() -> Self {
-        ScheduledCopy {
-            delay_us: 0,
-            corrupt: None,
-        }
-    }
-
-    /// True when this copy is the unperturbed delivery.
-    pub fn is_clean(&self) -> bool {
-        self.delay_us == 0 && self.corrupt.is_none()
-    }
-
-    /// Applies the corruption (if any) to a payload in place.
-    pub fn apply_corruption(&self, payload: &mut [u8]) {
-        if let Some((offset, mask)) = self.corrupt {
-            if !payload.is_empty() {
-                let i = offset % payload.len();
-                payload[i] ^= mask;
-            }
-        }
-    }
-}
-
-/// The seeded decision core shared by [`FaultySocket`] and the loopback
-/// integration.
+/// The seeded decision core shared by [`FaultySocket`] and the
+/// simulator's delivery hook.
 pub struct FaultEngine {
     cfg: FaultConfig,
     ge: Option<GilbertElliott>,
@@ -196,12 +162,13 @@ impl FaultEngine {
     pub fn counters(&self) -> FaultCounters {
         self.counters
     }
+}
 
+impl DeliveryHook for FaultEngine {
     /// Decides the fate of one datagram on the directed link
-    /// `from -> to`. Empty = dropped; otherwise each entry is one copy
-    /// to deliver. With every knob off this returns exactly one clean
+    /// `from -> to`. With every knob off this returns exactly one clean
     /// copy and consumes zero RNG draws.
-    pub fn decide(
+    fn decide(
         &mut self,
         from: NodeId,
         to: NodeId,

@@ -1,85 +1,34 @@
-//! `wsn-net`: real transport backends for the protocol state machines.
+//! `wsn-net`: the real socket transport for the protocol state machines.
 //!
 //! The protocol crates (`wsn-core`) talk to the world only through the
 //! [`wsn_core::transport::Transport`] seam. The discrete-event
-//! simulator is one implementation; this crate provides two more, built
-//! from `std::net` and threads alone (no async runtime):
+//! simulator is one implementation; this crate provides the other,
+//! built from `std::net` and threads alone (no async runtime):
 //!
-//! - [`loopback`]: an in-process deterministic engine with the
-//!   simulator's exact event semantics, for differential testing (the
-//!   `differential` integration test pins sim-vs-loopback equality of
-//!   every protocol-visible outcome) and for syscall-free throughput
-//!   measurement (the perf harness's `net_loopback` row).
 //! - [`udp`]: a sharded UDP reactor — reader threads performing
 //!   pre-crypto admission control feed per-cluster worker shards over
-//!   bounded channels — serving the base station over real sockets.
+//!   bounded channels — serving the base station over real sockets,
+//!   with a write-ahead log ([`wal`]) and an inter-sink control plane
+//!   ([`intersink`]).
+//! - [`fault`]: seeded datagram fault schedules (drop, duplicate,
+//!   delay/reorder, corrupt). [`FaultySocket`] applies them to a UDP
+//!   socket; [`FaultEngine`] is also a `wsn_sim::link::DeliveryHook`,
+//!   so the same schedule runs on the simulator's one event core.
 //!
-//! Three binaries ship with the crate: `wsn-bs` (a base-station daemon
+//! Five binaries ship with the crate: `wsn-bs` (a base-station daemon
 //! on UDP), `motegen` (a load generator multiplexing 100k+ simulated
-//! motes over a bounded socket pool), and `net-soak` (a self-contained
-//! CI smoke: in-process base station plus generator on 127.0.0.1).
+//! motes over a bounded socket pool), `net-soak` (a self-contained CI
+//! smoke: in-process base station plus generator on 127.0.0.1), and the
+//! `crash-soak` / `sink-failover-soak` kill gauntlets. They share the
+//! flag parser in [`cli`].
 
+pub mod cli;
 pub mod fault;
 pub mod intersink;
 pub mod load;
-pub mod loopback;
 pub mod udp;
 pub mod wal;
 
 pub use fault::{FaultConfig, FaultCounters, FaultEngine, FaultySocket};
 pub use intersink::{ControlPlane, ControlPlaneConfig, ControlStats, ControlTiming};
-pub use loopback::{LoopbackCounters, LoopbackNet};
 pub use udp::{NetStats, UdpServer, UdpServerConfig};
-
-use wsn_core::setup::{Backend, Scenario, SetupOutcome};
-
-/// A network produced by [`run_scenario`]: the simulator's driver
-/// handle, or the loopback engine, depending on the scenario's
-/// [`Backend`] selector.
-pub enum BackendHandle {
-    /// `Backend::Sim`: the simulator ran setup; outcome carries the
-    /// [`wsn_core::setup::NetworkHandle`] and the setup report. (Boxed:
-    /// the outcome is ~2 kB and would otherwise dominate the enum.)
-    Sim(Box<SetupOutcome>),
-    /// `Backend::Loopback`: the loopback engine ran setup to
-    /// quiescence.
-    Loopback(Box<LoopbackNet>),
-}
-
-impl BackendHandle {
-    /// Unwraps the simulator outcome; panics on a loopback handle.
-    pub fn into_sim(self) -> SetupOutcome {
-        match self {
-            BackendHandle::Sim(outcome) => *outcome,
-            BackendHandle::Loopback(_) => panic!("scenario ran on Backend::Loopback"),
-        }
-    }
-
-    /// Unwraps the loopback engine; panics on a simulator handle.
-    pub fn into_loopback(self) -> LoopbackNet {
-        match self {
-            BackendHandle::Sim(_) => panic!("scenario ran on Backend::Sim"),
-            BackendHandle::Loopback(net) => *net,
-        }
-    }
-}
-
-/// Runs a scenario's setup phase on whichever backend it selected.
-///
-/// This is the one entry point that understands every [`Backend`]
-/// variant: `Sim` scenarios go through [`Scenario::run`] (legacy or
-/// sharded engine, per the `shards` selector), and `Loopback` scenarios
-/// are lowered to a [`wsn_core::setup::Deployment`] and executed on the
-/// in-process [`LoopbackNet`] engine. Both paths build the *same*
-/// network from the same sub-seeds; the differential test pins their
-/// protocol-visible outcomes equal.
-pub fn run_scenario(scenario: Scenario<'static>) -> BackendHandle {
-    match scenario.backend_kind() {
-        Backend::Sim { .. } => BackendHandle::Sim(Box::new(scenario.run())),
-        Backend::Loopback => {
-            let mut net = LoopbackNet::from_deployment(scenario.into_deployment());
-            net.run();
-            BackendHandle::Loopback(Box::new(net))
-        }
-    }
-}

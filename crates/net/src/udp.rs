@@ -224,7 +224,7 @@ pub struct UdpServerConfig {
 
 impl UdpServerConfig {
     /// A single-reader, single-worker localhost server — the right
-    /// shape for differential tests and single-core soaks.
+    /// shape for smoke tests and single-core soaks.
     pub fn localhost(base_port: u16, n: usize, seed: u64, cfg: ProtocolConfig) -> Self {
         UdpServerConfig {
             bind: "127.0.0.1".to_string(),
@@ -1024,7 +1024,7 @@ fn worker_loop(
                     .fetch_add(accepted, Ordering::Relaxed);
                 // Keep shard memory flat under sustained load: the
                 // log's content has been counted; only tests inspect
-                // it, and they run on the loopback backend.
+                // it, and they run on the simulator.
                 bs.received.clear();
             }
             let after = RejectSnapshot::of(&bs);

@@ -1,51 +1,12 @@
-//! Transport-layer smoke tests for the `wsn-net` backends: trace
-//! emission on the loopback engine and a short end-to-end run over real
-//! UDP sockets (in-process server, ephemeral ports).
+//! Transport-layer smoke test for `wsn-net`: a short end-to-end run over
+//! real UDP sockets (in-process server, ephemeral ports), including the
+//! datagram trace vocabulary.
 
 use std::time::Duration;
 use wsn_core::config::{CounterMode, ProtocolConfig, RecoveryConfig};
-use wsn_core::setup::{Backend, Scenario, SetupParams};
 use wsn_net::load::{self, LoadParams};
-use wsn_net::{run_scenario, UdpServer, UdpServerConfig};
-use wsn_trace::{JsonlSink, MemorySink, TraceEvent};
-
-/// The loopback engine reports every delivery and transmission through
-/// the normal trace pipeline, with counts agreeing with its counters.
-#[test]
-fn loopback_emits_transport_trace_events() {
-    let mut net = run_scenario(
-        Scenario::new(SetupParams {
-            n: 30,
-            density: 8.0,
-            seed: 7,
-            cfg: ProtocolConfig::default(),
-        })
-        .trace(MemorySink::new())
-        .backend(Backend::Loopback),
-    )
-    .into_loopback();
-    net.establish_gradient();
-    let sensors = net.sensor_ids();
-    net.send_reading(sensors[0], vec![0xAB, 0xCD], true);
-
-    let counters = net.counters();
-    let records = net.take_trace().expect("sink installed").drain();
-    let rx = records
-        .iter()
-        .filter(|r| matches!(r.event, TraceEvent::DatagramRx { .. }))
-        .count() as u64;
-    let tx = records
-        .iter()
-        .filter(|r| matches!(r.event, TraceEvent::DatagramTx { .. }))
-        .count() as u64;
-    assert!(rx > 0 && tx > 0, "no transport events traced");
-    assert_eq!(rx, counters.datagrams_rx, "traced rx != counter");
-    assert_eq!(tx, counters.datagrams_tx, "traced tx != counter");
-    // Lossless radio: nothing dropped at the transport layer.
-    assert!(!records
-        .iter()
-        .any(|r| matches!(r.event, TraceEvent::SocketDrop { .. })));
-}
+use wsn_net::{UdpServer, UdpServerConfig};
+use wsn_trace::JsonlSink;
 
 /// A short real-socket run: 200 motes against an in-process UDP server
 /// on ephemeral ports. Every frame that reaches the shards must

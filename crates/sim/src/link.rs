@@ -8,11 +8,21 @@
 //! in through [`crate::net::Simulator::set_link_process`] without the
 //! delivery path changing shape.
 //!
+//! A second, optional seam acts one step earlier: a [`DeliveryHook`]
+//! decides at *scheduling* time which copies of a frame reach a
+//! receiver — none (dropped), one, or two (duplicated), each possibly
+//! delayed or corrupted. Seeded datagram fault schedules
+//! (`wsn_net::fault::FaultEngine`) plug in here through
+//! [`crate::net::Simulator::set_delivery_hook`]; with no hook installed
+//! the delivery path is exactly the hook-free one.
+//!
 //! Determinism contract: a process may either draw from the simulator's
 //! main RNG (passed to [`LinkProcess::should_drop`]) or keep its own
 //! seeded streams. Either way the decision must be a pure function of
 //! the seed material and the delivery sequence, never of wall-clock
-//! time or thread scheduling.
+//! time or thread scheduling. A [`DeliveryHook`] never sees the main
+//! RNG, so installing one that perturbs nothing leaves a run
+//! byte-identical to installing none.
 
 use crate::event::SimTime;
 use crate::node::NodeId;
@@ -69,6 +79,56 @@ impl LinkProcess for IidLoss {
     ) -> bool {
         self.loss > 0.0 && rng.gen::<f64>() < self.loss
     }
+}
+
+/// One delivery scheduled for a frame by a [`DeliveryHook`] (a dropped
+/// frame schedules none; a duplicated one schedules two).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ScheduledCopy {
+    /// Deliver this many microseconds later than the unperturbed path.
+    pub delay_us: u64,
+    /// Flip payload byte `offset % len` with this XOR mask (never 0).
+    pub corrupt: Option<(usize, u8)>,
+}
+
+impl ScheduledCopy {
+    /// The unperturbed delivery.
+    pub fn clean() -> Self {
+        ScheduledCopy {
+            delay_us: 0,
+            corrupt: None,
+        }
+    }
+
+    /// True when this copy is the unperturbed delivery.
+    pub fn is_clean(&self) -> bool {
+        self.delay_us == 0 && self.corrupt.is_none()
+    }
+
+    /// Applies the corruption (if any) to a payload in place.
+    pub fn apply_corruption(&self, payload: &mut [u8]) {
+        if let Some((offset, mask)) = self.corrupt {
+            if !payload.is_empty() {
+                let i = offset % payload.len();
+                payload[i] ^= mask;
+            }
+        }
+    }
+}
+
+/// A schedule-time delivery decision, consulted once per receiver for
+/// every frame a node transmits.
+pub trait DeliveryHook: Send {
+    /// Decides the fate of one `bytes`-long frame on the directed link
+    /// `from -> to`, due at virtual time `now`. Empty = dropped;
+    /// otherwise each entry is one copy to schedule.
+    fn decide(
+        &mut self,
+        from: NodeId,
+        to: NodeId,
+        bytes: usize,
+        now: SimTime,
+    ) -> Vec<ScheduledCopy>;
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 
 use crate::energy::EnergyMeter;
 use crate::event::{EventKind, EventQueue, SimTime};
-use crate::link::{IidLoss, LinkProcess};
+use crate::link::{DeliveryHook, IidLoss, LinkProcess};
 use crate::node::{Action, App, Ctx, NodeId, TimerKey};
 use crate::radio::RadioConfig;
 use crate::topology::Topology;
@@ -11,7 +11,7 @@ use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
-use wsn_trace::{TraceEvent, TraceRecord, TraceSink};
+use wsn_trace::{NetFaultKind, TraceEvent, TraceRecord, TraceSink};
 
 /// Per-node and aggregate traffic counters — the raw material of Figures 8
 /// and 9 (messages per node during key setup) and the energy comparisons.
@@ -89,6 +89,9 @@ pub struct Simulator<A: App> {
     /// The channel loss model. Defaults to [`IidLoss`] over
     /// `RadioConfig::loss`; fault engines swap in richer processes.
     link: Box<dyn LinkProcess>,
+    /// Schedule-time delivery hook (seeded datagram faults). `None`, the
+    /// default, schedules one clean delivery per in-range receiver.
+    delivery: Option<Box<dyn DeliveryHook>>,
     /// Per-node power state. A down node's radio and CPU are dark: no
     /// deliveries, no timer fires, no start hook.
     down: Vec<bool>,
@@ -162,6 +165,7 @@ impl<A: App> Simulator<A> {
             sink: None,
             trace_seq: 0,
             link,
+            delivery: None,
             down: vec![false; n],
             n_down: 0,
             drift: None,
@@ -207,6 +211,7 @@ impl<A: App> Simulator<A> {
             sink: None,
             trace_seq: 0,
             link,
+            delivery: None,
             down: vec![false; n],
             n_down: 0,
             drift: None,
@@ -487,6 +492,41 @@ impl<A: App> Simulator<A> {
         Some(finish)
     }
 
+    /// Schedules one frame's delivery to one receiver through the
+    /// installed [`DeliveryHook`]: zero, one or two copies, each possibly
+    /// delayed past `at` or corrupted, with a `NetFaultInjected` trace
+    /// event (attributed to the sender) per perturbation.
+    fn deliver_hooked(&mut self, from: NodeId, to: NodeId, at: SimTime, payload: &Bytes) {
+        let hook = self.delivery.as_mut().expect("delivery hook installed");
+        let copies = hook.decide(from, to, payload.len(), at);
+        if copies.is_empty() {
+            self.trace_fault(from, NetFaultKind::Drop);
+            return;
+        }
+        if copies.len() > 1 {
+            self.trace_fault(from, NetFaultKind::Duplicate);
+        }
+        for copy in copies {
+            if copy.delay_us > 0 {
+                self.trace_fault(from, NetFaultKind::Delay);
+            }
+            let payload = if copy.corrupt.is_some() {
+                self.trace_fault(from, NetFaultKind::Corrupt);
+                let mut buf = payload.to_vec();
+                copy.apply_corruption(&mut buf);
+                Bytes::from(buf)
+            } else {
+                payload.clone()
+            };
+            self.queue
+                .schedule(at + copy.delay_us, EventKind::Deliver { from, to, payload });
+        }
+    }
+
+    fn trace_fault(&mut self, node: NodeId, fault: NetFaultKind) {
+        self.trace_with(node, || TraceEvent::NetFaultInjected { fault });
+    }
+
     fn apply(&mut self, id: NodeId, action: Action) {
         match action {
             Action::Broadcast(payload) => {
@@ -503,15 +543,22 @@ impl<A: App> Simulator<A> {
                         neighbors,
                     });
                 }
-                for &to in self.topo.neighbors(id) {
-                    self.queue.schedule(
-                        at,
-                        EventKind::Deliver {
-                            from: id,
-                            to,
-                            payload: payload.clone(),
-                        },
-                    );
+                if self.delivery.is_none() {
+                    for &to in self.topo.neighbors(id) {
+                        self.queue.schedule(
+                            at,
+                            EventKind::Deliver {
+                                from: id,
+                                to,
+                                payload: payload.clone(),
+                            },
+                        );
+                    }
+                } else {
+                    for i in 0..self.topo.degree(id) {
+                        let to = self.topo.neighbors(id)[i];
+                        self.deliver_hooked(id, to, at, &payload);
+                    }
                 }
             }
             Action::Send(to, payload) => {
@@ -526,14 +573,18 @@ impl<A: App> Simulator<A> {
                 // Addressed frame: delivered only to `to`, and only if in
                 // range.
                 if self.topo.neighbors(id).binary_search(&to).is_ok() {
-                    self.queue.schedule(
-                        at,
-                        EventKind::Deliver {
-                            from: id,
-                            to,
-                            payload,
-                        },
-                    );
+                    if self.delivery.is_none() {
+                        self.queue.schedule(
+                            at,
+                            EventKind::Deliver {
+                                from: id,
+                                to,
+                                payload,
+                            },
+                        );
+                    } else {
+                        self.deliver_hooked(id, to, at, &payload);
+                    }
                 }
             }
             Action::SetTimer(key, delay) => {
@@ -565,6 +616,14 @@ impl<A: App> Simulator<A> {
     /// `RadioConfig::loss` exactly; see [`crate::link`].
     pub fn set_link_process(&mut self, link: impl LinkProcess + 'static) {
         self.link = Box::new(link);
+    }
+
+    /// Installs a schedule-time [`DeliveryHook`] (e.g. a seeded datagram
+    /// fault schedule), replacing any previous one. Every frame a node
+    /// transmits is then scheduled per receiver as the hook decides;
+    /// adversary injections bypass it. See [`crate::link`].
+    pub fn set_delivery_hook(&mut self, hook: impl DeliveryHook + 'static) {
+        self.delivery = Some(Box::new(hook));
     }
 
     /// Whether `id` is currently powered on. Ids outside the topology

@@ -6,18 +6,6 @@
 //! **identical to a sequential run** — each trial derives its own seed
 //! from `(master_seed, trial_index)`, and results are returned in trial
 //! order regardless of which thread ran what.
-//!
-//! # Migrating from `run_trials`/`run_trials_on`
-//!
-//! Earlier revisions split the entry point in two: `run_trials` (implicit
-//! thread count) and `run_trials_on` (explicit). They are now one
-//! function taking a [`Jobs`] selector; the old explicit variant survives
-//! as a deprecated shim.
-//!
-//! | old                                       | new                                                |
-//! |-------------------------------------------|----------------------------------------------------|
-//! | `run_trials(seed, trials, f)`             | `run_trials(seed, trials, Jobs::Auto, f)`          |
-//! | `run_trials_on(seed, trials, threads, f)` | `run_trials(seed, trials, Jobs::Fixed(threads), f)`|
 
 use crate::rng::derive_seed;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -115,16 +103,6 @@ where
         .collect()
 }
 
-/// [`run_trials`] with an explicit thread count (1 = sequential).
-#[deprecated(note = "use run_trials(seed, trials, Jobs::Fixed(threads), f)")]
-pub fn run_trials_on<T, F>(master_seed: u64, trials: usize, threads: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize, u64) -> T + Sync,
-{
-    run_trials(master_seed, trials, Jobs::Fixed(threads), f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,14 +145,6 @@ mod tests {
     fn auto_thread_count_works() {
         let out = run_trials(3, 10, Jobs::Auto, |i, _| i);
         assert_eq!(out, (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shim_matches_new_entry_point() {
-        let via_shim = run_trials_on(11, 16, 3, |i, seed| (i, seed));
-        let direct = run_trials(11, 16, Jobs::Fixed(3), |i, seed| (i, seed));
-        assert_eq!(via_shim, direct);
     }
 
     #[test]

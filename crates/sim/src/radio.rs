@@ -9,8 +9,8 @@
 ///
 /// Shared ceiling between the simulated radio and the real socket
 /// backends (`wsn-net`): a datagram the protocol can emit through the
-/// simulator must never be rejected by the UDP or loopback transport,
-/// so both sides size against this one constant. Generously above the
+/// simulator must never be rejected by the UDP transport, so both
+/// sides size against this one constant. Generously above the
 /// largest wrapped protocol frame (header + sealed inner + tag; well
 /// under 512 bytes at the default 16-byte-block cipher) while still a
 /// single unfragmented UDP payload on any sane MTU path.

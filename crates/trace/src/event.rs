@@ -264,8 +264,7 @@ pub enum TraceEvent {
     },
 
     // ---- transport layer (wsn-net socket backends) ----
-    /// A real transport backend (loopback engine or UDP reactor)
-    /// received a datagram and handed it to application dispatch. The
+    /// A real transport backend (the UDP reactor) received a datagram and handed it to application dispatch. The
     /// net-layer counterpart of [`TraceEvent::Rx`]: payloads are not
     /// captured (a socket backend cannot afford the refcount plumbing on
     /// its hot path), only the byte count.
