@@ -1,110 +1,75 @@
-//! Cipher/MAC/PRF throughput — the ablation behind the protocol's choice
-//! of RC5-class primitives ("symmetric algorithms are two to four orders
-//! of magnitude faster" than public key; among symmetric options, the
-//! small-block ARX ciphers beat AES in software on mote-class hardware).
+//! Cipher ablation — the measurement behind the protocol's choice of
+//! RC5-class primitives: among symmetric options, the small-block ARX
+//! ciphers beat AES in software on mote-class hardware. Times CTR-mode
+//! encryption of one radio frame and the key schedule for RC5, Speck,
+//! XTEA and AES-128. MAC, HMAC, PRF and AEAD timings live in perfbench's
+//! `crypto.*` per-layer metrics.
+//!
+//! ```text
+//! cargo bench -p wsn-bench --bench crypto
+//! ```
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
+use std::time::Instant;
 use wsn_crypto::aes::Aes128;
-use wsn_crypto::authenc::AuthEnc;
-use wsn_crypto::cbcmac::CbcMac;
 use wsn_crypto::ctr::Ctr;
-use wsn_crypto::hmac::HmacSha256;
-use wsn_crypto::prf::Prf;
 use wsn_crypto::rc5::Rc5;
-use wsn_crypto::sha256::Sha256;
 use wsn_crypto::speck::{Speck128_128, Speck64_128};
 use wsn_crypto::xtea::Xtea;
 use wsn_crypto::{BlockCipher, Key128};
 
-const FRAME: usize = 64; // a typical radio frame payload
+/// A typical radio frame payload.
+const FRAME: usize = 64;
+/// Timed samples per measurement; the median is reported.
+const SAMPLES: usize = 31;
 
-fn bench_ctr<C: BlockCipher>(c: &mut Criterion, group: &str, name: &str, cipher: C) {
-    let ctr = Ctr::new(cipher);
-    let mut g = c.benchmark_group(group);
-    g.throughput(Throughput::Bytes(FRAME as u64));
-    let mut buf = vec![0xA5u8; FRAME];
-    g.bench_function(BenchmarkId::new("ctr-encrypt", name), |b| {
-        b.iter(|| {
-            ctr.apply(black_box(1024), black_box(&mut buf));
+/// Median ns per call of `f`: one calibration call sizes the inner loop
+/// to ~2 ms per sample, then the median of [`SAMPLES`] samples.
+fn measure<R, F: FnMut() -> R>(mut f: F) -> f64 {
+    let start = Instant::now();
+    black_box(f());
+    let est_ns = (start.elapsed().as_nanos() as f64).max(1.0);
+    let iters = ((2_000_000.0 / est_ns) as u64).clamp(1, 1_000_000);
+    let mut laps: Vec<f64> = (0..SAMPLES)
+        .map(|_| {
+            let start = Instant::now();
+            for _ in 0..iters {
+                black_box(f());
+            }
+            start.elapsed().as_nanos() as f64 / iters as f64
         })
+        .collect();
+    laps.sort_by(|a, b| a.total_cmp(b));
+    laps[SAMPLES / 2]
+}
+
+fn ctr_encrypt<C: BlockCipher>(name: &str, cipher: C) {
+    let ctr = Ctr::new(cipher);
+    let mut buf = [0xA5u8; FRAME];
+    let ns = measure(|| {
+        ctr.apply(black_box(1024), black_box(&mut buf));
+        buf
     });
-    g.finish();
+    println!(
+        "ctr-encrypt/{name:<14} {ns:>9.1} ns/{FRAME} B  {:>7.1} MB/s",
+        FRAME as f64 * 1e3 / ns
+    );
 }
 
-fn cipher_benches(c: &mut Criterion) {
-    let key = Key128::from_bytes([7; 16]);
-    bench_ctr(c, "cipher", "rc5-32/12/16", Rc5::new(&key));
-    bench_ctr(c, "cipher", "speck64/128", Speck64_128::new(&key));
-    bench_ctr(c, "cipher", "speck128/128", Speck128_128::new(&key));
-    bench_ctr(c, "cipher", "xtea", Xtea::new(&key));
-    bench_ctr(c, "cipher", "aes-128", Aes128::new(&key));
-}
-
-fn key_schedule_benches(c: &mut Criterion) {
+fn key_schedule<C>(name: &str, new: impl Fn(&Key128) -> C) {
     let key = Key128::from_bytes([9; 16]);
-    let mut g = c.benchmark_group("key-schedule");
-    g.bench_function("rc5", |b| b.iter(|| black_box(Rc5::new(black_box(&key)))));
-    g.bench_function("speck64", |b| {
-        b.iter(|| black_box(Speck64_128::new(black_box(&key))))
-    });
-    g.bench_function("aes128", |b| {
-        b.iter(|| black_box(Aes128::new(black_box(&key))))
-    });
-    g.finish();
+    let ns = measure(|| new(black_box(&key)));
+    println!("key-schedule/{name:<13} {ns:>9.1} ns");
 }
 
-fn mac_benches(c: &mut Criterion) {
-    let key = Key128::from_bytes([3; 16]);
-    let data = vec![0x5Au8; FRAME];
-    let mut g = c.benchmark_group("mac");
-    g.throughput(Throughput::Bytes(FRAME as u64));
-    let cbc = CbcMac::new(Rc5::new(&key));
-    g.bench_function("cbcmac-rc5", |b| {
-        b.iter(|| black_box(cbc.tag(black_box(&data))))
-    });
-    g.bench_function("hmac-sha256", |b| {
-        b.iter(|| black_box(HmacSha256::mac(key.as_bytes(), black_box(&data))))
-    });
-    g.finish();
+fn main() {
+    let key = Key128::from_bytes([7; 16]);
+    ctr_encrypt("rc5-32/12/16", Rc5::new(&key));
+    ctr_encrypt("speck64/128", Speck64_128::new(&key));
+    ctr_encrypt("speck128/128", Speck128_128::new(&key));
+    ctr_encrypt("xtea", Xtea::new(&key));
+    ctr_encrypt("aes-128", Aes128::new(&key));
+    key_schedule("rc5", Rc5::new);
+    key_schedule("speck64", Speck64_128::new);
+    key_schedule("aes128", Aes128::new);
 }
-
-fn hash_and_prf_benches(c: &mut Criterion) {
-    let data = vec![0xC3u8; 1024];
-    let mut g = c.benchmark_group("hash-prf");
-    g.throughput(Throughput::Bytes(1024));
-    g.bench_function("sha256-1k", |b| {
-        b.iter(|| black_box(Sha256::digest(black_box(&data))))
-    });
-    g.finish();
-
-    let key = Key128::from_bytes([2; 16]);
-    c.bench_function("prf-derive", |b| {
-        b.iter(|| black_box(Prf::derive(black_box(&key), b"label")))
-    });
-    c.bench_function("prf-chain-step", |b| {
-        b.iter(|| black_box(Prf::chain_step(black_box(&key))))
-    });
-}
-
-fn authenc_benches(c: &mut Criterion) {
-    let ae = AuthEnc::new(Key128::from_bytes([1; 16]), Key128::from_bytes([2; 16]));
-    let msg = vec![0x11u8; FRAME];
-    let sealed = ae.seal(0, &msg);
-    let mut g = c.benchmark_group("authenc");
-    g.throughput(Throughput::Bytes(FRAME as u64));
-    g.bench_function("seal-64B", |b| {
-        b.iter(|| black_box(ae.seal(black_box(7), black_box(&msg))))
-    });
-    g.bench_function("open-64B", |b| {
-        b.iter(|| black_box(ae.open(black_box(0), black_box(&sealed)).unwrap()))
-    });
-    g.finish();
-}
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(40);
-    targets = cipher_benches, key_schedule_benches, mac_benches, hash_and_prf_benches, authenc_benches
-}
-criterion_main!(benches);

@@ -19,7 +19,7 @@ use wsn_bench::figures::{
     fig7_cluster_size, fig8_head_fraction, fig9_setup_messages, scale_invariance, series_table,
 };
 use wsn_bench::millionnode::{
-    merge_million_node, million_n, million_node_json, millionnode_run, millionnode_table, FULL_N,
+    million_n, millionnode_run, millionnode_table, millionnode_wallclock_table, FULL_N,
 };
 use wsn_bench::multisink::{multisink_rows, multisink_table};
 use wsn_bench::overload::{overload_rows, overload_table};
@@ -257,16 +257,15 @@ fn run_millionnode() {
         "n = {}: {} events in {:.1} s wall ({:.0} events/s), virtual time {:.1} ms\n",
         row.n, row.events, row.wall_s, row.events_per_sec, row.virtual_ms
     );
-    // Throughput is a perf artifact, not a figure: record it in
-    // BENCH_perf.json, and only from a full-scale run.
+    // Wall clock measures the host, not the protocol: it gets a table of
+    // its own, written only from a full-scale run.
     if n >= FULL_N {
         let shards = wsn_sim::shard::Shards::Auto.region_count().unwrap_or(1);
-        match merge_million_node("BENCH_perf.json", &million_node_json(&row, shards)) {
-            Ok(()) => println!("(perf: updated million_node section of BENCH_perf.json)\n"),
-            Err(e) => eprintln!("(perf: BENCH_perf.json not updated: {e})\n"),
-        }
-    } else {
-        println!("(perf: n < {FULL_N}; BENCH_perf.json left untouched)\n");
+        emit_table(
+            "millionnode_wallclock",
+            &millionnode_wallclock_table(&row, shards),
+            1,
+        );
     }
 }
 

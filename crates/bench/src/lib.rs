@@ -3,8 +3,9 @@
 //! The reproduction harness: one function per figure in the paper's
 //! evaluation (Section V) plus the security comparison of Section VI.
 //! The `figures` binary drives these and prints the same series the paper
-//! plots; criterion benches (`benches/`) cover the performance questions
-//! (cipher throughput, setup scaling, broadcast cost).
+//! plots. The one bench (`benches/crypto.rs`) is the cipher ablation
+//! (RC5 vs Speck vs XTEA vs AES); every other performance number comes
+//! from `perfbench` (see `BENCHMARK.json`).
 //!
 //! Every experiment is an average over independent seeded trials fanned
 //! out with [`wsn_sim::parallel::run_trials`]; results are deterministic

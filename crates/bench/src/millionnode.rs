@@ -1,20 +1,19 @@
 //! The million-node experiment: one full key-setup phase at
 //! `n >= 1_000_000` on the sharded simulator backend, reporting both
-//! the deterministic protocol outcomes (the figure CSV) and the
-//! machine-dependent throughput numbers (the `million_node` section of
-//! `BENCH_perf.json`).
+//! the deterministic protocol outcomes (the `millionnode` figure) and
+//! the machine-dependent wall clock (the `millionnode_wallclock` table).
 //!
-//! Determinism contract: every column of the CSV is
+//! Determinism contract: every column of the `millionnode` CSV is
 //! shard-count-independent — the sharded engine produces byte-identical
 //! networks for any `WSN_SHARDS`, and the row carries only
 //! protocol-visible quantities (event counts, virtual time, election
-//! statistics). Wall-clock and events/sec never enter the CSV; they go
-//! to stdout and to `BENCH_perf.json`, which the figure pipeline treats
-//! as a perf artifact, not a reproducible one.
+//! statistics). Wall-clock and events/sec never enter that CSV; they go
+//! to the separate [`millionnode_wallclock_table`], a measurement of the
+//! host, not a reproducible figure.
 //!
 //! `WSN_MILLION_N` overrides the node count so CI can drive the same
-//! code path at a few thousand nodes; the perf section is only written
-//! at the real scale (`n >= 1_000_000`).
+//! code path at a few thousand nodes; the wall-clock table is only
+//! written at the real scale (`n >= 1_000_000`).
 
 use crate::MASTER_SEED;
 use std::time::Instant;
@@ -116,103 +115,23 @@ pub fn millionnode_table(row: &MillionNodeRow) -> Table {
     t
 }
 
-/// Renders the `million_node` perf section.
-pub fn million_node_json(row: &MillionNodeRow, shards: usize) -> String {
-    format!(
-        "{{\n    \"n\": {},\n    \"shards\": {},\n    \"setup_events\": {},\n    \
-         \"wall_clock_s\": {:.1},\n    \"events_per_sec\": {:.1}\n  }}",
-        row.n, shards, row.events, row.wall_s, row.events_per_sec
-    )
-}
-
-/// Textually merges the `million_node` section into `BENCH_perf.json`,
-/// replacing an existing section in place or appending one before the
-/// closing brace. The rest of the file is untouched byte-for-byte, so
-/// the perf harness's own sections survive.
-pub fn merge_million_node(path: &str, section: &str) -> std::io::Result<()> {
-    let prior = std::fs::read_to_string(path)?;
-    let key = "\"million_node\":";
-    let merged = if let Some(at) = prior.find(key) {
-        // Replace the balanced object that follows the key. No string
-        // in this format contains braces, so a depth counter suffices.
-        let rest = &prior[at + key.len()..];
-        let open = rest.find('{').expect("million_node section is an object");
-        let mut depth = 0usize;
-        let mut close = None;
-        for (i, c) in rest[open..].char_indices() {
-            match c {
-                '{' => depth += 1,
-                '}' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        close = Some(open + i + 1);
-                        break;
-                    }
-                }
-                _ => {}
-            }
-        }
-        let close = close.expect("unbalanced million_node section");
-        format!("{}{} {}{}", &prior[..at], key, section, &rest[close..])
-    } else {
-        let last_brace = prior.rfind('}').expect("valid json object");
-        format!(
-            "{},\n  \"million_node\": {}\n{}",
-            prior[..last_brace].trim_end(),
-            section,
-            &prior[last_brace..]
-        )
-    };
-    std::fs::write(path, merged)
+/// The machine-dependent wall-clock table for one run on `shards`
+/// regions.
+pub fn millionnode_wallclock_table(row: &MillionNodeRow, shards: usize) -> Table {
+    let mut t = Table::new(&["n", "shards", "setup events", "wall s", "events/s"]);
+    t.row(&[
+        row.n.to_string(),
+        shards.to_string(),
+        row.events.to_string(),
+        format!("{:.1}", row.wall_s),
+        format!("{:.1}", row.events_per_sec),
+    ]);
+    t
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn row() -> MillionNodeRow {
-        MillionNodeRow {
-            n: 1_000_000,
-            events: 42,
-            virtual_ms: 1.5,
-            head_fraction: 0.2,
-            keys_per_node: 2.5,
-            msgs_per_node: 2.0,
-            wall_s: 10.0,
-            events_per_sec: 4.2,
-        }
-    }
-
-    #[test]
-    fn merge_appends_then_replaces() {
-        let dir = std::env::temp_dir().join(format!("wsn_million_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("perf.json");
-        let path = path.to_str().unwrap();
-        std::fs::write(
-            path,
-            "{\n  \"schema\": \"wsn-perf/1\",\n  \"mode\": \"full\"\n}\n",
-        )
-        .unwrap();
-
-        merge_million_node(path, &million_node_json(&row(), 4)).unwrap();
-        let first = std::fs::read_to_string(path).unwrap();
-        assert!(first.contains("\"million_node\":"), "{first}");
-        assert!(first.contains("\"schema\": \"wsn-perf/1\""), "{first}");
-        assert!(first.contains("\"events_per_sec\": 4.2"), "{first}");
-
-        let mut faster = row();
-        faster.events_per_sec = 9.9;
-        merge_million_node(path, &million_node_json(&faster, 4)).unwrap();
-        let second = std::fs::read_to_string(path).unwrap();
-        assert_eq!(
-            second.matches("\"million_node\":").count(),
-            1,
-            "section duplicated: {second}"
-        );
-        assert!(second.contains("\"events_per_sec\": 9.9"), "{second}");
-        assert!(!second.contains("4.2"), "stale section survived: {second}");
-    }
 
     #[test]
     fn small_run_row_is_sane() {

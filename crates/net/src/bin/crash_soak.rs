@@ -26,55 +26,18 @@
 //!
 //! Exit status 0 = pass.
 
-use std::io::BufRead;
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use wsn_net::cli::{num, opt};
+use wsn_net::daemon::{Daemon, DaemonErrors};
 use wsn_net::load::{provision_motes, run, EpochSchedule, LoadParams, RetryConfig};
 use wsn_net::udp::wall_us;
 use wsn_net::{wal, FaultConfig};
 
-/// The last `errors:` stats line the daemon printed, parsed.
-#[derive(Clone, Copy, Debug, Default)]
-struct DaemonErrors {
-    auth: u64,
-    stale: u64,
-    malformed: u64,
-    unknown: u64,
-    ctr: u64,
-}
-
-/// Pulls `auth N stale N malformed N unknown N ctr N` out of a wsn-bs
-/// stats line.
-fn parse_errors(line: &str) -> Option<DaemonErrors> {
-    let tail = line.split("errors:").nth(1)?;
-    let mut words = tail.split_whitespace();
-    let mut e = DaemonErrors::default();
-    while let (Some(name), Some(val)) = (words.next(), words.next()) {
-        let val: u64 = val.parse().ok()?;
-        match name {
-            "auth" => e.auth = val,
-            "stale" => e.stale = val,
-            "malformed" => e.malformed = val,
-            "unknown" => e.unknown = val,
-            "ctr" => e.ctr = val,
-            _ => break,
-        }
-    }
-    Some(e)
-}
-
-struct Daemon {
-    child: Child,
-    reader: std::thread::JoinHandle<()>,
-}
-
-/// Spawns a `wsn-bs` with durable state, piping stdout into the shared
-/// error accumulator (errors are cumulative per daemon *instance*, so
-/// the accumulator folds the last line of each instance in at exit).
+/// Spawns a `wsn-bs` with durable state; its error counters are folded
+/// into `errors` when the instance dies.
 #[allow(clippy::too_many_arguments)]
 fn spawn_bs(
     bs_bin: &Path,
@@ -86,8 +49,9 @@ fn spawn_bs(
     genesis: u64,
     errors: &Arc<Mutex<DaemonErrors>>,
 ) -> Daemon {
-    let mut child = Command::new(bs_bin)
-        .args([
+    Daemon::spawn(
+        bs_bin,
+        &[
             "--port",
             &port.to_string(),
             "--motes",
@@ -116,33 +80,13 @@ fn spawn_bs(
             "8",
             "--interval",
             "1",
-        ])
-        .stdout(Stdio::piped())
-        .stderr(Stdio::inherit())
-        .spawn()
-        .unwrap_or_else(|e| {
-            eprintln!("crash-soak: failed to spawn {}: {e}", bs_bin.display());
-            std::process::exit(1);
-        });
-    let stdout = child.stdout.take().expect("piped stdout");
-    let errors = Arc::clone(errors);
-    let reader = std::thread::spawn(move || {
-        let mut last = DaemonErrors::default();
-        for line in std::io::BufReader::new(stdout).lines() {
-            let Ok(line) = line else { break };
-            if let Some(e) = parse_errors(&line) {
-                last = e;
-            }
-        }
-        // Instance died (or was killed): fold its final counters in.
-        let mut acc = errors.lock().unwrap();
-        acc.auth += last.auth;
-        acc.stale += last.stale;
-        acc.malformed += last.malformed;
-        acc.unknown += last.unknown;
-        acc.ctr += last.ctr;
-    });
-    Daemon { child, reader }
+        ],
+        errors,
+    )
+    .unwrap_or_else(|e| {
+        eprintln!("crash-soak: failed to spawn {}: {e}", bs_bin.display());
+        std::process::exit(1);
+    })
 }
 
 fn main() {
@@ -188,7 +132,7 @@ fn main() {
         "crash-soak: daemon up (port {port}, {workers} shards, state in {})",
         state_dir.display()
     );
-    let mut daemon = spawn_bs(
+    let daemon = spawn_bs(
         &bs_bin, port, motes, seed, &state_dir, workers, genesis, &errors,
     );
     // Provisioning + socket bind in the child; the client's ARQ absorbs
@@ -222,12 +166,10 @@ fn main() {
     // cache residue is all the next instance gets.
     std::thread::sleep(Duration::from_secs(kill_at));
     eprintln!("crash-soak: kill -9");
-    let _ = daemon.child.kill();
-    let _ = daemon.child.wait();
-    let _ = daemon.reader.join();
+    daemon.kill();
     std::thread::sleep(Duration::from_millis(300));
     eprintln!("crash-soak: restarting from {}", state_dir.display());
-    daemon = spawn_bs(
+    let daemon = spawn_bs(
         &bs_bin, port, motes, seed, &state_dir, workers, genesis, &errors,
     );
 
@@ -242,9 +184,7 @@ fn main() {
     // Let the final WAL batches flush, then take the daemon down hard
     // again — the registry check below reads only what's durable.
     std::thread::sleep(Duration::from_secs(1));
-    let _ = daemon.child.kill();
-    let _ = daemon.child.wait();
-    let _ = daemon.reader.join();
+    daemon.kill();
 
     let durable: std::collections::BTreeSet<u32> = wal::registry_ids(&state_dir, workers)
         .unwrap_or_default()

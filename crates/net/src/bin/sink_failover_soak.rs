@@ -35,54 +35,24 @@
 //!
 //! Exit status 0 = pass.
 
-use std::io::BufRead;
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use wsn_net::cli::{num, opt};
+use wsn_net::daemon::{Daemon, DaemonErrors};
 use wsn_net::load::{provision_motes, run_with_army, LoadParams, LoadReport, Mote, RetryConfig};
 use wsn_net::{wal, FaultConfig};
 
-/// The last stats line's error counters, plus control-plane counters,
-/// for one daemon instance.
-#[derive(Clone, Copy, Debug, Default)]
-struct DaemonErrors {
-    auth: u64,
-    stale: u64,
-    malformed: u64,
-    unknown: u64,
-    ctr: u64,
-}
-
-fn parse_errors(line: &str) -> Option<DaemonErrors> {
-    let tail = line.split("errors:").nth(1)?;
-    let mut words = tail.split_whitespace();
-    let mut e = DaemonErrors::default();
-    while let (Some(name), Some(val)) = (words.next(), words.next()) {
-        let val: u64 = val.parse().ok()?;
-        match name {
-            "auth" => e.auth = val,
-            "stale" => e.stale = val,
-            "malformed" => e.malformed = val,
-            "unknown" => e.unknown = val,
-            "ctr" => e.ctr = val,
-            _ => break,
-        }
-    }
-    Some(e)
-}
-
-struct Daemon {
-    sink: u32,
-    child: Child,
-    reader: std::thread::JoinHandle<()>,
+/// One sink of the fleet.
+struct Sink {
+    id: u32,
+    daemon: Daemon,
 }
 
 /// Spawns sink `i` of `k` with durable state and the control plane
-/// meshed to its peers, folding its final error counters into the
-/// shared accumulator when the instance exits.
+/// meshed to its peers; its error counters are folded into `errors`
+/// when the instance dies.
 #[allow(clippy::too_many_arguments)]
 fn spawn_sink(
     bs_bin: &Path,
@@ -95,13 +65,14 @@ fn spawn_sink(
     ctrl_fault_seed: u64,
     state_root: &Path,
     errors: &Arc<Mutex<DaemonErrors>>,
-) -> Daemon {
+) -> Sink {
     let peers: Vec<String> = (0..k)
         .map(|i| format!("127.0.0.1:{}", ctrl_base + i as u16))
         .collect();
     let state_dir = state_root.join(format!("sink{sink}"));
-    let mut child = Command::new(bs_bin)
-        .args([
+    let daemon = Daemon::spawn(
+        bs_bin,
+        &[
             "--bind",
             "127.0.0.1",
             "--port",
@@ -139,39 +110,17 @@ fn spawn_sink(
             "1",
             "--interval",
             "1",
-        ])
-        .stdout(Stdio::piped())
-        .stderr(Stdio::inherit())
-        .spawn()
-        .unwrap_or_else(|e| {
-            eprintln!(
-                "sink-failover-soak: failed to spawn {}: {e}",
-                bs_bin.display()
-            );
-            std::process::exit(1);
-        });
-    let stdout = child.stdout.take().expect("piped stdout");
-    let errors = Arc::clone(errors);
-    let reader = std::thread::spawn(move || {
-        let mut last = DaemonErrors::default();
-        for line in std::io::BufReader::new(stdout).lines() {
-            let Ok(line) = line else { break };
-            if let Some(e) = parse_errors(&line) {
-                last = e;
-            }
-        }
-        let mut acc = errors.lock().unwrap();
-        acc.auth += last.auth;
-        acc.stale += last.stale;
-        acc.malformed += last.malformed;
-        acc.unknown += last.unknown;
-        acc.ctr += last.ctr;
+        ],
+        errors,
+    )
+    .unwrap_or_else(|e| {
+        eprintln!(
+            "sink-failover-soak: failed to spawn {}: {e}",
+            bs_bin.display()
+        );
+        std::process::exit(1);
     });
-    Daemon {
-        sink,
-        child,
-        reader,
-    }
+    Sink { id: sink, daemon }
 }
 
 /// One measurement window against the shared army.
@@ -231,7 +180,7 @@ fn main() {
     let _ = std::fs::remove_dir_all(&state_root);
 
     let errors = Arc::new(Mutex::new(DaemonErrors::default()));
-    let mut fleet: Vec<Daemon> = (0..k)
+    let mut fleet: Vec<Sink> = (0..k)
         .map(|i| {
             spawn_sink(
                 &bs_bin,
@@ -298,12 +247,9 @@ fn main() {
         eprintln!("sink-failover-soak: kill -9 sink {victim}");
         let pos = fleet
             .iter()
-            .position(|d| d.sink == victim)
+            .position(|s| s.id == victim)
             .expect("victim in fleet");
-        let mut dead = fleet.swap_remove(pos);
-        let _ = dead.child.kill();
-        let _ = dead.child.wait();
-        let _ = dead.reader.join();
+        fleet.swap_remove(pos).daemon.kill();
         load.join().expect("phase B load panicked")
     };
 
@@ -313,12 +259,8 @@ fn main() {
     // Let the last WAL batches flush, then take the survivors down hard
     // — the oracle below reads only what is durable on disk.
     std::thread::sleep(Duration::from_secs(1));
-    for d in &mut fleet {
-        let _ = d.child.kill();
-        let _ = d.child.wait();
-    }
-    for d in fleet {
-        let _ = d.reader.join();
+    for s in fleet {
+        s.daemon.kill();
     }
 
     // Offline oracle: union the surviving sinks' durable registries.

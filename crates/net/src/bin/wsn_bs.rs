@@ -18,6 +18,7 @@ use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 use wsn_core::config::{CounterMode, ProtocolConfig, RecoveryConfig, ResourceConfig};
 use wsn_net::cli::{num, opt};
+use wsn_net::daemon::DaemonErrors;
 use wsn_net::{ControlPlane, ControlPlaneConfig, ControlTiming, FaultConfig};
 use wsn_net::{UdpServer, UdpServerConfig};
 
@@ -227,8 +228,7 @@ fn main() {
         let ok = s.readings_accepted.load(Ordering::Relaxed);
         println!(
             "rx {rx} (+{}/s) | accepted {ok} (+{}/s) | tx {} | shed: admit {} quarantine {} \
-             queue {} oversize {} | errors: auth {} stale {} malformed {} unknown {} ctr {} | \
-             unroutable {} | wal {} snap {}",
+             queue {} oversize {} | {} | unroutable {} | wal {} snap {}",
             (rx - last_rx) / interval,
             (ok - last_ok) / interval,
             s.datagrams_tx.load(Ordering::Relaxed),
@@ -236,11 +236,7 @@ fn main() {
             s.quarantine_rejects.load(Ordering::Relaxed),
             s.queue_full_drops.load(Ordering::Relaxed),
             s.oversize_drops.load(Ordering::Relaxed),
-            s.bad_auth.load(Ordering::Relaxed),
-            s.stale.load(Ordering::Relaxed),
-            s.malformed.load(Ordering::Relaxed),
-            s.unknown_cluster.load(Ordering::Relaxed),
-            s.counter_rejects.load(Ordering::Relaxed),
+            DaemonErrors::from_stats(s),
             s.unroutable.load(Ordering::Relaxed),
             s.wal_appends.load(Ordering::Relaxed),
             s.snapshots_written.load(Ordering::Relaxed),

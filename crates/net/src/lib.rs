@@ -20,9 +20,11 @@
 //! motes over a bounded socket pool), `net-soak` (a self-contained CI
 //! smoke: in-process base station plus generator on 127.0.0.1), and the
 //! `crash-soak` / `sink-failover-soak` kill gauntlets. They share the
-//! flag parser in [`cli`].
+//! flag parser in [`cli`]; the gauntlets spawn `wsn-bs` and read its
+//! error counters through [`daemon`].
 
 pub mod cli;
+pub mod daemon;
 pub mod fault;
 pub mod intersink;
 pub mod load;
