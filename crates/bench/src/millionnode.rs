@@ -62,6 +62,25 @@ pub struct MillionNodeRow {
     /// Events per wall-clock second (machine-dependent — excluded from
     /// the CSV).
     pub events_per_sec: f64,
+    /// Peak resident set of the process so far, in MiB (`VmHWM`; `None`
+    /// where `/proc/self/status` is unavailable). Machine-dependent —
+    /// excluded from the CSV. Covers everything the process ran before,
+    /// so it measures this run only when `millionnode` runs alone.
+    pub peak_rss_mb: Option<f64>,
+}
+
+/// The process's peak resident set in MiB, read from `/proc/self/status`.
+fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kib: f64 = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))?
+        .trim()
+        .trim_end_matches("kB")
+        .trim()
+        .parse()
+        .ok()?;
+    Some(kib / 1024.0)
 }
 
 /// Runs the setup phase at `n` nodes on the sharded backend
@@ -90,6 +109,7 @@ pub fn millionnode_run(n: usize) -> MillionNodeRow {
         msgs_per_node: outcome.report.msgs_per_node,
         wall_s,
         events_per_sec: events as f64 / wall_s,
+        peak_rss_mb: peak_rss_mb(),
     }
 }
 
@@ -118,13 +138,22 @@ pub fn millionnode_table(row: &MillionNodeRow) -> Table {
 /// The machine-dependent wall-clock table for one run on `shards`
 /// regions.
 pub fn millionnode_wallclock_table(row: &MillionNodeRow, shards: usize) -> Table {
-    let mut t = Table::new(&["n", "shards", "setup events", "wall s", "events/s"]);
+    let mut t = Table::new(&[
+        "n",
+        "shards",
+        "setup events",
+        "wall s",
+        "events/s",
+        "peak_rss_mb",
+    ]);
     t.row(&[
         row.n.to_string(),
         shards.to_string(),
         row.events.to_string(),
         format!("{:.1}", row.wall_s),
         format!("{:.1}", row.events_per_sec),
+        row.peak_rss_mb
+            .map_or_else(|| "n/a".to_string(), |mb| format!("{mb:.1}")),
     ]);
     t
 }
@@ -140,5 +169,8 @@ mod tests {
         assert_eq!(r.n, 400);
         assert!(r.events > 0 && r.head_fraction > 0.0 && r.keys_per_node >= 1.0);
         assert!(r.virtual_ms > 0.0 && r.wall_s > 0.0);
+        if cfg!(target_os = "linux") {
+            assert!(r.peak_rss_mb.is_some_and(|mb| mb > 0.0));
+        }
     }
 }

@@ -86,10 +86,24 @@ impl SealerCache {
         self.map.entry(*base).or_insert_with(|| sealer(base))
     }
 
+    /// Drops the sealer built for `base`. A cached sealer holds the keys
+    /// derived from its base key, so erasing a key must forget its sealer
+    /// too: otherwise the derived pair keeps opening and forging what the
+    /// erased key protected.
+    pub fn forget(&mut self, base: &Key128) {
+        self.map.remove(base);
+    }
+
     /// Number of cached sealers.
     #[allow(clippy::len_without_is_empty)]
     pub fn len(&self) -> usize {
         self.map.len()
+    }
+
+    /// The cached sealers, in no particular order.
+    #[cfg(test)]
+    pub(crate) fn sealers(&self) -> impl Iterator<Item = &AuthEnc> {
+        self.map.values()
     }
 }
 
@@ -395,6 +409,21 @@ mod tests {
 
     fn cfg() -> ProtocolConfig {
         ProtocolConfig::default()
+    }
+
+    #[test]
+    fn sealer_cache_forget_drops_only_that_key() {
+        let a = Key128::from_bytes([1; 16]);
+        let b = Key128::from_bytes([2; 16]);
+        let mut cache = SealerCache::new();
+        cache.get(&a);
+        cache.get(&b);
+        cache.forget(&a);
+        assert_eq!(cache.len(), 1);
+        cache.forget(&a); // idempotent
+        assert_eq!(cache.len(), 1);
+        cache.forget(&b);
+        assert_eq!(cache.len(), 0);
     }
 
     #[test]

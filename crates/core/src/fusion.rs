@@ -20,12 +20,15 @@ pub struct DedupCache {
 }
 
 impl DedupCache {
-    /// Creates a cache remembering the last `capacity` keys.
+    /// Creates a cache remembering the last `capacity` keys. Nothing is
+    /// allocated until the first insert: most nodes of a large deployment
+    /// never forward a reading, so reserving `capacity` slots up front
+    /// would dominate their memory.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0);
         DedupCache {
-            set: HashSet::with_capacity(capacity),
-            order: VecDeque::with_capacity(capacity),
+            set: HashSet::new(),
+            order: VecDeque::new(),
             capacity,
         }
     }
@@ -127,6 +130,33 @@ mod tests {
         assert!(c.contains(3));
         // 1 is forwardable again after eviction.
         assert!(c.insert(1));
+    }
+
+    #[test]
+    fn dedup_allocates_nothing_until_first_insert() {
+        let mut c = DedupCache::new(256);
+        assert_eq!(c.set.capacity(), 0);
+        assert_eq!(c.order.capacity(), 0);
+        assert!(c.insert(7));
+        assert!(c.set.capacity() > 0);
+        assert!(c.order.capacity() > 0);
+    }
+
+    #[test]
+    fn dedup_evicts_fifo_at_full_capacity() {
+        let mut c = DedupCache::new(256);
+        for k in 0..256 {
+            assert!(c.insert(k));
+        }
+        assert_eq!(c.len(), 256);
+        assert!(c.insert(256)); // evicts 0, the oldest
+        assert_eq!(c.len(), 256);
+        assert!(!c.contains(0));
+        assert!((1..=256).all(|k| c.contains(k)));
+        assert!(!c.insert(1));
+        assert!(c.insert(0)); // evicts 1
+        assert!(!c.contains(1));
+        assert_eq!(c.len(), 256);
     }
 
     #[test]

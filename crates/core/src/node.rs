@@ -32,6 +32,7 @@ use crate::transport::Transport;
 use bytes::Bytes;
 use rand::Rng;
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::sync::Arc;
 use wsn_crypto::Key128;
 use wsn_sim::event::{SimTime, MILLI, SECOND};
 use wsn_sim::node::{App, Ctx, NodeId, TimerKey};
@@ -148,23 +149,61 @@ pub struct PendingReading {
     pub sealed: bool,
 }
 
-/// The protocol state machine for one sensor node.
-pub struct ProtocolNode {
-    cfg: ProtocolConfig,
-    keys: NodeKeyMaterial,
-    role: Role,
-    cid: Option<ClusterId>,
-    cluster_key: Option<Key128>,
-    /// The set `S`: keys of neighboring clusters.
-    neighbor_keys: HashMap<ClusterId, Key128>,
-    /// Per-sender message sequence (CTR nonce uniqueness).
-    seq: u64,
-    /// Step-1 end-to-end counter shared with the base station.
-    e2e_ctr: u64,
-    gradient: Gradient,
-    /// Per-sink gradients (empty — zero cost — unless `cfg.sinks.enabled`).
+/// The set `S`: keys of neighboring clusters, sorted by cluster id.
+/// Figure 6 puts it at 2–4.5 entries, where a sorted vector is smaller
+/// than a hash table and iterates in a fixed order.
+#[derive(Clone, Debug, Default)]
+struct NeighborKeys(Vec<(ClusterId, Key128)>);
+
+impl NeighborKeys {
+    fn find(&self, cid: ClusterId) -> Result<usize, usize> {
+        self.0.binary_search_by_key(&cid, |&(c, _)| c)
+    }
+
+    fn get(&self, cid: ClusterId) -> Option<Key128> {
+        self.find(cid).ok().map(|i| self.0[i].1)
+    }
+
+    fn get_mut(&mut self, cid: ClusterId) -> Option<&mut Key128> {
+        let i = self.find(cid).ok()?;
+        Some(&mut self.0[i].1)
+    }
+
+    fn contains(&self, cid: ClusterId) -> bool {
+        self.find(cid).is_ok()
+    }
+
+    /// Inserts or updates the key of `cid`.
+    fn insert(&mut self, cid: ClusterId, kc: Key128) {
+        match self.find(cid) {
+            Ok(i) => self.0[i].1 = kc,
+            Err(i) => self.0.insert(i, (cid, kc)),
+        }
+    }
+
+    fn remove(&mut self, cid: ClusterId) -> Option<Key128> {
+        let i = self.find(cid).ok()?;
+        Some(self.0.remove(i).1)
+    }
+
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+}
+
+/// State of the subsystems a default-config run never touches —
+/// self-healing recovery, multi-sink routing, revocation and the fusion
+/// envelope — allocated on first use, so an idle sensor pays one pointer
+/// for all of it.
+#[derive(Debug)]
+struct Extras {
+    /// Self-healing recovery state (inert unless `cfg.recovery.enabled`).
+    recovery: RecoveryState,
+    /// Absolute heartbeat horizon: `cfg.recovery.heartbeat_until` until a
+    /// driver sets it (see [`ProtocolNode::set_heartbeat_horizon`]).
+    heartbeat_until: SimTime,
+    /// Per-sink gradients (empty unless `cfg.sinks.enabled`).
     sink_table: SinkTable,
-    dedup: DedupCache,
     /// Fusion-mode redundancy envelope (only consulted when
     /// `cfg.fusion_suppression` is on).
     peek: PeekAggregator,
@@ -178,6 +217,30 @@ pub struct ProtocolNode {
     /// Two-phase revocation: chain-verified links awaiting a matching
     /// announce (reveal/announce reordering across flood paths).
     verified_links: HashMap<u32, Key128>,
+}
+
+/// What [`ProtocolNode::recovery_state`] shows before the layer ran.
+static IDLE_RECOVERY: RecoveryState = RecoveryState::IDLE;
+/// What [`ProtocolNode::sink_table`] shows before any `SinkBeacon`.
+static NO_SINKS: SinkTable = SinkTable::EMPTY;
+
+/// The protocol state machine for one sensor node.
+pub struct ProtocolNode {
+    /// The deployment's configuration, shared by every sensor.
+    cfg: Arc<ProtocolConfig>,
+    keys: NodeKeyMaterial,
+    role: Role,
+    cid: Option<ClusterId>,
+    cluster_key: Option<Key128>,
+    neighbor_keys: NeighborKeys,
+    /// Per-sender message sequence (CTR nonce uniqueness).
+    seq: u64,
+    /// Step-1 end-to-end counter shared with the base station.
+    e2e_ctr: u64,
+    gradient: Gradient,
+    dedup: DedupCache,
+    /// Optional-subsystem state, `None` until first used.
+    extras: Option<Box<Extras>>,
     /// Set when this node's own cluster was revoked.
     revoked: bool,
     /// Key-refresh epoch.
@@ -195,8 +258,6 @@ pub struct ProtocolNode {
     /// Reusable decrypt buffer for the receive path (one per node, not one
     /// allocation per overheard frame).
     rx_scratch: Vec<u8>,
-    /// Self-healing recovery state (inert unless `cfg.recovery.enabled`).
-    recovery: RecoveryState,
     /// Resource-budget state (admission gates, busy window, drop counters).
     /// Buffer high-water marks are recorded here unconditionally; the
     /// enforcement machinery is inert unless `cfg.resources.enabled`.
@@ -207,7 +268,10 @@ pub struct ProtocolNode {
 
 impl ProtocolNode {
     /// Creates a node for initial deployment (runs the setup phases).
-    pub fn new(cfg: ProtocolConfig, keys: NodeKeyMaterial) -> Self {
+    /// Pass one `Arc` to every node of a deployment so they share a single
+    /// copy of the configuration.
+    pub fn new(cfg: impl Into<Arc<ProtocolConfig>>, keys: NodeKeyMaterial) -> Self {
+        let cfg = cfg.into();
         let dedup = DedupCache::new(cfg.dedup_cache);
         ProtocolNode {
             cfg,
@@ -215,16 +279,12 @@ impl ProtocolNode {
             role: Role::Undecided,
             cid: None,
             cluster_key: None,
-            neighbor_keys: HashMap::new(),
+            neighbor_keys: NeighborKeys::default(),
             seq: 0,
             e2e_ctr: 0,
             gradient: Gradient::default(),
-            sink_table: SinkTable::default(),
             dedup,
-            peek: PeekAggregator::default(),
-            revoke_seen: HashSet::new(),
-            pending_announces: HashMap::new(),
-            verified_links: HashMap::new(),
+            extras: None,
             revoked: false,
             epoch: 0,
             muted: false,
@@ -232,7 +292,6 @@ impl ProtocolNode {
             join_responses: Vec::new(),
             sealers: SealerCache::new(),
             rx_scratch: Vec::new(),
-            recovery: RecoveryState::default(),
             resource: ResourceState::default(),
             stats: NodeStats::default(),
         }
@@ -241,7 +300,7 @@ impl ProtocolNode {
     /// Creates a node deployed post-setup that must join via §IV-E
     /// (`keys` must carry `KMC`; see
     /// [`crate::keys::Provisioner::provision_new_node`]).
-    pub fn new_joiner(cfg: ProtocolConfig, keys: NodeKeyMaterial) -> Self {
+    pub fn new_joiner(cfg: impl Into<Arc<ProtocolConfig>>, keys: NodeKeyMaterial) -> Self {
         assert!(keys.kmc.is_some(), "joiner needs KMC");
         let mut n = Self::new(cfg, keys);
         n.role = Role::Joining;
@@ -276,11 +335,9 @@ impl ProtocolNode {
         self.neighbor_keys.len() + usize::from(self.cluster_key.is_some())
     }
 
-    /// The neighboring-cluster IDs in the set `S`.
+    /// The neighboring-cluster IDs in the set `S`, ascending.
     pub fn neighbor_cids(&self) -> Vec<ClusterId> {
-        let mut v: Vec<ClusterId> = self.neighbor_keys.keys().copied().collect();
-        v.sort_unstable();
-        v
+        self.neighbor_keys.0.iter().map(|&(c, _)| c).collect()
     }
 
     /// Hop distance to the base station (`u32::MAX` before any beacon).
@@ -291,14 +348,14 @@ impl ProtocolNode {
     /// Per-sink gradient table (empty unless multi-sink is enabled and a
     /// `SinkBeacon` has been heard).
     pub fn sink_table(&self) -> &SinkTable {
-        &self.sink_table
+        self.extras.as_ref().map_or(&NO_SINKS, |x| &x.sink_table)
     }
 
     /// The sink this node currently routes to, with its hop distance:
     /// minimum `(hops, sink_id)` over established per-sink gradients.
     /// `None` before any `SinkBeacon` (or in single-sink mode).
     pub fn nearest_sink(&self) -> Option<(u32, u32)> {
-        self.sink_table.nearest()
+        self.sink_table().nearest()
     }
 
     /// Whether `Km` is still in memory (setup phase).
@@ -327,7 +384,52 @@ impl ProtocolNode {
 
     /// Read access to the self-healing recovery state (tests, drivers).
     pub fn recovery_state(&self) -> &RecoveryState {
-        &self.recovery
+        self.extras.as_ref().map_or(&IDLE_RECOVERY, |x| &x.recovery)
+    }
+
+    /// The optional-subsystem state, allocated on first use.
+    fn extras_mut(&mut self) -> &mut Extras {
+        let heartbeat_until = self.cfg.recovery.heartbeat_until;
+        self.extras.get_or_insert_with(|| {
+            Box::new(Extras {
+                recovery: RecoveryState::default(),
+                heartbeat_until,
+                sink_table: SinkTable::default(),
+                peek: PeekAggregator::default(),
+                revoke_seen: HashSet::new(),
+                pending_announces: HashMap::new(),
+                verified_links: HashMap::new(),
+            })
+        })
+    }
+
+    fn recovery_mut(&mut self) -> &mut RecoveryState {
+        &mut self.extras_mut().recovery
+    }
+
+    /// Clears the custody entry `key`; `true` if it was pending.
+    fn recovery_ack(&mut self, key: u64) -> bool {
+        self.extras.as_mut().is_some_and(|x| x.recovery.ack(key))
+    }
+
+    fn heartbeat_until(&self) -> SimTime {
+        self.extras
+            .as_ref()
+            .map_or(self.cfg.recovery.heartbeat_until, |x| x.heartbeat_until)
+    }
+
+    fn revoke_seen(&self, seq: u32) -> bool {
+        self.extras
+            .as_ref()
+            .is_some_and(|x| x.revoke_seen.contains(&seq))
+    }
+
+    /// Whether a fusion-mode body falls inside the envelope of readings
+    /// already relayed.
+    fn is_redundant_reading(&self, body: &[u8]) -> bool {
+        self.extras
+            .as_ref()
+            .is_some_and(|x| x.peek.is_redundant(body))
     }
 
     /// Read access to the resource-budget state: admission gates, drop
@@ -344,7 +446,7 @@ impl ProtocolNode {
 
     /// Current retransmission custody-map depth (recovery layer).
     pub fn retx_pending_len(&self) -> usize {
-        self.recovery.pending.len()
+        self.recovery_state().pending.len()
     }
 
     /// Current neighbor-cluster key-table size (the set `S`).
@@ -358,7 +460,7 @@ impl ProtocolNode {
     /// exactly the observation window — arming it before setup would let
     /// the run-to-quiescence setup phases drain every future beat.
     pub fn set_heartbeat_horizon(&mut self, until: SimTime) {
-        self.cfg.recovery.heartbeat_until = until;
+        self.extras_mut().heartbeat_until = until;
     }
 
     /// Everything an adversary learns by capturing this node right now.
@@ -367,12 +469,7 @@ impl ProtocolNode {
             id: self.keys.id,
             ki: self.keys.ki,
             cluster: self.cid.zip(self.cluster_key),
-            neighbor_keys: {
-                let mut v: Vec<(ClusterId, Key128)> =
-                    self.neighbor_keys.iter().map(|(c, k)| (*c, *k)).collect();
-                v.sort_unstable_by_key(|(c, _)| *c);
-                v
-            },
+            neighbor_keys: self.neighbor_keys.0.clone(),
             km: self.keys.km,
             kmc: self.keys.kmc,
         }
@@ -395,7 +492,9 @@ impl ProtocolNode {
     /// before it reaches newcomers).
     pub fn reset_gradient(&mut self) {
         self.gradient = Gradient::default();
-        self.sink_table.reset();
+        if let Some(x) = self.extras.as_mut() {
+            x.sink_table.reset();
+        }
     }
 
     /// Applies a hash refresh locally: own key and every key in `S` roll
@@ -404,7 +503,7 @@ impl ProtocolNode {
         if let Some(kc) = self.cluster_key.as_mut() {
             *kc = refresh::hash_step(kc);
         }
-        for kc in self.neighbor_keys.values_mut() {
+        for (_, kc) in self.neighbor_keys.0.iter_mut() {
             *kc = refresh::hash_step(kc);
         }
         self.epoch += 1;
@@ -412,7 +511,8 @@ impl ProtocolNode {
         // verify anywhere again; retrying them would only exhaust into a
         // spurious route repair against a healthy gradient.
         if self.cfg.recovery.enabled {
-            self.recovery.purge_pre_epoch(self.epoch);
+            let epoch = self.epoch;
+            self.recovery_mut().purge_pre_epoch(epoch);
         }
     }
 
@@ -444,30 +544,29 @@ impl ProtocolNode {
             // member confirms. ACKs will arrive under the key being
             // retired, so keep it around. The driver arms [`TIMER_RETX`]
             // (this runs outside a simulation callback, so no `Ctx` here).
-            self.recovery.prev_cluster_key = Some(old_kc);
+            self.recovery_mut().prev_cluster_key = Some(old_kc);
             let res = self.cfg.resources;
-            if res.enabled && self.recovery.pending.len() >= res.max_retx_pending {
+            let pending = &self.recovery_state().pending;
+            if res.enabled && pending.len() >= res.max_retx_pending {
                 // Refresh outranks data in the drop policy, so a full
                 // custody map yields its oldest data entry.
-                if let Some(victim) =
-                    resource::retx_eviction_victim(&self.recovery.pending, RetxKind::Refresh)
-                {
-                    self.recovery.pending.remove(&victim);
+                if let Some(victim) = resource::retx_eviction_victim(pending, RetxKind::Refresh) {
+                    self.recovery_mut().pending.remove(&victim);
                     self.resource.queue_drops += 1;
                 }
             }
-            self.recovery.pending.insert(
-                recovery::refresh_ack_key(cid, self.epoch + 1),
-                RetxEntry {
-                    frame: frame.clone(),
-                    kind: RetxKind::Refresh,
-                    attempt: 0,
-                    deadline: now + self.cfg.recovery.retx_base,
-                    repaired: false,
-                    epoch: self.epoch + 1,
-                },
-            );
-            self.resource.peak_retx = self.resource.peak_retx.max(self.recovery.pending.len());
+            let entry = RetxEntry {
+                frame: frame.clone(),
+                kind: RetxKind::Refresh,
+                attempt: 0,
+                deadline: now + self.cfg.recovery.retx_base,
+                repaired: false,
+                epoch: self.epoch + 1,
+            };
+            let pending = &mut self.recovery_mut().pending;
+            pending.insert(recovery::refresh_ack_key(cid, entry.epoch), entry);
+            let depth = pending.len();
+            self.resource.peak_retx = self.resource.peak_retx.max(depth);
         }
         // Adopt the new key immediately.
         self.cluster_key = Some(new_kc);
@@ -582,7 +681,7 @@ impl ProtocolNode {
         // downhill rule. Before any SinkBeacon arrives, fall back to the
         // legacy single-gradient frame.
         let (inner, hops) = if self.cfg.sinks.enabled {
-            match self.sink_table.nearest() {
+            match self.sink_table().nearest() {
                 Some((sink, hops)) => (Inner::SinkData { sink, unit }, hops),
                 None => (Inner::Data(unit), self.gradient.hops()),
             }
@@ -678,7 +777,7 @@ impl ProtocolNode {
         let res = self.cfg.resources;
         if res.enabled
             && self.neighbor_keys.len() >= res.max_neighbor_keys
-            && !self.neighbor_keys.contains_key(&cid)
+            && !self.neighbor_keys.contains(cid)
         {
             self.resource.queue_drops += 1;
             ctx.trace(TraceEvent::QueueDrop {
@@ -703,7 +802,7 @@ impl ProtocolNode {
         if self.cid == Some(cid) {
             self.cluster_key
         } else {
-            self.neighbor_keys.get(&cid).copied()
+            self.neighbor_keys.get(cid)
         }
     }
 
@@ -774,7 +873,7 @@ impl ProtocolNode {
                     if self.cid == Some(cid) {
                         // Own-cluster traffic we cannot authenticate and
                         // cannot ratchet to: the wiped-rejoin signal.
-                        self.recovery.unhealed_auth_failures += 1;
+                        self.recovery_mut().unhealed_auth_failures += 1;
                     }
                 }
                 // Quarantine accounting happens only after every salvage
@@ -811,7 +910,7 @@ impl ProtocolNode {
     ) {
         match inner {
             Inner::Beacon => {
-                if self.recovery.own_cid_beacons_only && self.cid != Some(outer_cid) {
+                if self.recovery_state().own_cid_beacons_only && self.cid != Some(outer_cid) {
                     // Route-blind-joiner guard: only a beacon wrapped under
                     // our *own* cluster key proves its sender can serve as
                     // our first hop, so only those may teach us a distance.
@@ -835,7 +934,7 @@ impl ProtocolNode {
                 // peer's transmission is then lost.
                 if self.cfg.recovery.enabled
                     && sender_hops < self.gradient.hops()
-                    && self.recovery.ack(key)
+                    && self.recovery_ack(key)
                 {
                     self.arm_retx_timer(ctx);
                 }
@@ -849,7 +948,7 @@ impl ProtocolNode {
                 }
                 if self.cfg.recovery.enabled
                     && sender_hops < self.gradient.hops()
-                    && self.recovery.ack(key)
+                    && self.recovery_ack(key)
                 {
                     self.arm_retx_timer(ctx);
                 }
@@ -865,11 +964,15 @@ impl ProtocolNode {
                     return;
                 }
                 // Same route-blind-joiner guard as the legacy beacon.
-                if self.recovery.own_cid_beacons_only && self.cid != Some(outer_cid) {
+                if self.recovery_state().own_cid_beacons_only && self.cid != Some(outer_cid) {
                     return;
                 }
-                if self.sink_table.observe_beacon(sink, sender_hops) {
-                    let hops = self.sink_table.hops_to(sink);
+                if self
+                    .extras_mut()
+                    .sink_table
+                    .observe_beacon(sink, sender_hops)
+                {
+                    let hops = self.sink_table().hops_to(sink);
                     self.broadcast_wrapped_hops(ctx, &Inner::SinkBeacon { sink }, hops);
                 }
             }
@@ -898,29 +1001,29 @@ impl ProtocolNode {
         }
         let rec_on = self.cfg.recovery.enabled;
         let dkey = unit.dedup_key();
-        let my_hops = self.sink_table.hops_to(sink);
+        let my_hops = self.sink_table().hops_to(sink);
         // Implicit ACK: a node strictly closer to *this* sink rebroadcast a
         // unit we hold pending — custody moved downhill.
-        if rec_on && sender_hops < my_hops && self.recovery.ack(dkey) {
+        if rec_on && sender_hops < my_hops && self.recovery_ack(dkey) {
             self.arm_retx_timer(ctx);
         }
         if !self.dedup.insert(dkey) {
             self.stats.fused_duplicates += 1;
-            if rec_on && self.sink_table.should_forward(sink, sender_hops) && !self.muted {
+            if rec_on && self.sink_table().should_forward(sink, sender_hops) && !self.muted {
                 self.send_ack_hops(ctx, outer_cid, &outer_key, dkey, my_hops);
             }
             return;
         }
-        if self.sink_table.should_forward(sink, sender_hops) && !self.muted {
+        if self.sink_table().should_forward(sink, sender_hops) && !self.muted {
             if self.cfg.fusion_suppression && !unit.sealed {
-                if self.peek.is_redundant(&unit.body) {
+                if self.is_redundant_reading(&unit.body) {
                     self.stats.fused_duplicates += 1;
                     if rec_on {
                         self.send_ack_hops(ctx, outer_cid, &outer_key, dkey, my_hops);
                     }
                     return;
                 }
-                self.peek.observe(&unit.body);
+                self.extras_mut().peek.observe(&unit.body);
             }
             self.stats.forwarded += 1;
             if rec_on {
@@ -947,7 +1050,7 @@ impl ProtocolNode {
         // Implicit ACK: a node strictly closer to the base station just
         // rebroadcast a unit we still hold pending — custody has moved
         // downhill even if the explicit ACK was lost.
-        if rec_on && sender_hops < self.gradient.hops() && self.recovery.ack(dkey) {
+        if rec_on && sender_hops < self.gradient.hops() && self.recovery_ack(dkey) {
             self.arm_retx_timer(ctx);
         }
         // The fusion peek, level 1: discard byte-identical copies before
@@ -967,7 +1070,7 @@ impl ProtocolNode {
             // "some processing of the raw data to discard extraneous
             // reports" (§II).
             if self.cfg.fusion_suppression && !unit.sealed {
-                if self.peek.is_redundant(&unit.body) {
+                if self.is_redundant_reading(&unit.body) {
                     self.stats.fused_duplicates += 1;
                     // Suppressed, but received: the uphill sender must
                     // still stop retransmitting.
@@ -976,7 +1079,7 @@ impl ProtocolNode {
                     }
                     return;
                 }
-                self.peek.observe(&unit.body);
+                self.extras_mut().peek.observe(&unit.body);
             }
             self.stats.forwarded += 1;
             if rec_on {
@@ -1027,7 +1130,7 @@ impl ProtocolNode {
                         // epoch for exactly this) — and keep the old key
                         // ourselves for stragglers' ACKs.
                         self.send_ack(ctx, cid, &old_kc, recovery::refresh_ack_key(cid, epoch));
-                        self.recovery.prev_cluster_key = Some(old_kc);
+                        self.recovery_mut().prev_cluster_key = Some(old_kc);
                     }
                 }
                 self.cluster_key = Some(new_kc);
@@ -1037,7 +1140,7 @@ impl ProtocolNode {
                     epoch,
                 });
             }
-        } else if let Some(entry) = self.neighbor_keys.get_mut(&outer_cid) {
+        } else if let Some(entry) = self.neighbor_keys.get_mut(outer_cid) {
             // A neighboring cluster re-keys; roll our S entry.
             *entry = new_kc;
             ctx.trace(TraceEvent::KeyRefreshed {
@@ -1055,7 +1158,7 @@ impl ProtocolNode {
         cids: Vec<ClusterId>,
         tag: [u8; crate::msg::SHORT_TAG],
     ) {
-        if self.revoke_seen.contains(&seq) {
+        if self.revoke_seen(seq) {
             return;
         }
         if evict::verify_revoke(
@@ -1071,7 +1174,7 @@ impl ProtocolNode {
             self.stats.drops.bad_auth += 1;
             return;
         }
-        self.revoke_seen.insert(seq);
+        self.extras_mut().revoke_seen.insert(seq);
         self.apply_revocation(ctx, &cids);
         // Flood the authenticated command onward (once per seq).
         ctx.broadcast(
@@ -1087,7 +1190,7 @@ impl ProtocolNode {
 
     fn apply_revocation(&mut self, ctx: &mut impl Transport, cids: &[ClusterId]) {
         for cid in cids {
-            let mut dropped = self.neighbor_keys.remove(cid).is_some();
+            let mut dropped = self.neighbor_keys.remove(*cid).is_some();
             if self.cid == Some(*cid) {
                 self.cid = None;
                 self.cluster_key = None;
@@ -1112,10 +1215,10 @@ impl ProtocolNode {
         tag: [u8; crate::msg::SHORT_TAG],
     ) {
         const MAX_CANDIDATES: usize = 4;
-        if self.revoke_seen.contains(&seq) {
+        if self.revoke_seen(seq) {
             return; // already acted on this seq
         }
-        let candidates = self.pending_announces.entry(seq).or_default();
+        let candidates = self.extras_mut().pending_announces.entry(seq).or_default();
         if candidates.iter().any(|(c, t)| *t == tag && *c == cids) {
             return; // duplicate flood copy
         }
@@ -1132,7 +1235,9 @@ impl ProtocolNode {
     /// propagate nor block the genuine one), then act on the matching
     /// buffered announce.
     fn handle_revoke_reveal(&mut self, ctx: &mut impl Transport, seq: u32, link: Key128) {
-        if self.revoke_seen.contains(&seq) || self.verified_links.contains_key(&seq) {
+        let known =
+            |x: &Extras| x.revoke_seen.contains(&seq) || x.verified_links.contains_key(&seq);
+        if self.extras.as_deref().is_some_and(known) {
             return;
         }
         if self
@@ -1144,16 +1249,19 @@ impl ProtocolNode {
             self.stats.drops.bad_auth += 1;
             return;
         }
-        self.verified_links.insert(seq, link);
+        self.extras_mut().verified_links.insert(seq, link);
         ctx.broadcast(Message::RevokeReveal { seq, link }.encode());
         self.complete_revocation_if_ready(ctx, seq);
     }
 
     fn complete_revocation_if_ready(&mut self, ctx: &mut impl Transport, seq: u32) {
-        let Some(link) = self.verified_links.get(&seq).copied() else {
+        let Some(x) = self.extras.as_deref_mut() else {
             return;
         };
-        let Some(candidates) = self.pending_announces.get(&seq) else {
+        let Some(link) = x.verified_links.get(&seq).copied() else {
+            return;
+        };
+        let Some(candidates) = x.pending_announces.get(&seq) else {
             return;
         };
         // At most one candidate verifies under the genuine link; forged
@@ -1163,9 +1271,9 @@ impl ProtocolNode {
             .find(|(cids, tag)| evict::revoke_tag(&link, seq, cids) == *tag)
             .cloned();
         if let Some((cids, _)) = verified {
-            self.revoke_seen.insert(seq);
-            self.pending_announces.remove(&seq);
-            self.verified_links.remove(&seq);
+            x.revoke_seen.insert(seq);
+            x.pending_announces.remove(&seq);
+            x.verified_links.remove(&seq);
             self.apply_revocation(ctx, &cids);
         }
     }
@@ -1230,7 +1338,7 @@ impl ProtocolNode {
         for (cid, kc) in responses {
             if res.enabled
                 && self.neighbor_keys.len() >= res.max_neighbor_keys
-                && !self.neighbor_keys.contains_key(&cid)
+                && !self.neighbor_keys.contains(cid)
             {
                 self.resource.queue_drops += 1;
                 continue;
@@ -1258,13 +1366,11 @@ impl ProtocolNode {
             return;
         }
         let res = self.cfg.resources;
-        if res.enabled
-            && self.recovery.pending.len() >= res.max_retx_pending
-            && !self.recovery.pending.contains_key(&key)
-        {
-            match resource::retx_eviction_victim(&self.recovery.pending, kind) {
+        let pending = &self.recovery_state().pending;
+        if res.enabled && pending.len() >= res.max_retx_pending && !pending.contains_key(&key) {
+            match resource::retx_eviction_victim(pending, kind) {
                 Some(victim) => {
-                    self.recovery.pending.remove(&victim);
+                    self.recovery_mut().pending.remove(&victim);
                     self.resource.queue_drops += 1;
                     ctx.trace(TraceEvent::QueueDrop {
                         queue: QueueKind::Retx,
@@ -1282,7 +1388,9 @@ impl ProtocolNode {
             }
         }
         let deadline = ctx.now() + self.stretched_backoff(ctx, 0);
-        self.recovery.pending.insert(
+        let epoch = self.epoch;
+        let pending = &mut self.recovery_mut().pending;
+        pending.insert(
             key,
             RetxEntry {
                 frame,
@@ -1290,10 +1398,11 @@ impl ProtocolNode {
                 attempt: 0,
                 deadline,
                 repaired: false,
-                epoch: self.epoch,
+                epoch,
             },
         );
-        self.resource.peak_retx = self.resource.peak_retx.max(self.recovery.pending.len());
+        let depth = pending.len();
+        self.resource.peak_retx = self.resource.peak_retx.max(depth);
         self.arm_retx_timer(ctx);
     }
 
@@ -1315,7 +1424,7 @@ impl ProtocolNode {
     /// (Re-)arms the single retransmit-scan timer at the earliest pending
     /// deadline, or cancels it when nothing is pending.
     fn arm_retx_timer(&mut self, ctx: &mut impl Transport) {
-        match self.recovery.next_deadline() {
+        match self.recovery_state().next_deadline() {
             Some(dl) => ctx.set_timer(TIMER_RETX, dl.saturating_sub(ctx.now()).max(1)),
             None => ctx.cancel_timer(TIMER_RETX),
         }
@@ -1343,7 +1452,7 @@ impl ProtocolNode {
         hops: u32,
     ) {
         let res = self.cfg.resources;
-        let inner = if res.enabled && self.recovery.pending.len() >= res.tx_high_water {
+        let inner = if res.enabled && self.recovery_state().pending.len() >= res.tx_high_water {
             Inner::BusyAck { key: ack_key }
         } else {
             Inner::Ack { key: ack_key }
@@ -1368,8 +1477,8 @@ impl ProtocolNode {
             return;
         }
         let now = ctx.now();
-        for key in self.recovery.due_keys(now) {
-            let Some(mut entry) = self.recovery.pending.remove(&key) else {
+        for key in self.recovery_state().due_keys(now) {
+            let Some(mut entry) = self.recovery_mut().pending.remove(&key) else {
                 continue;
             };
             if entry.attempt < rec.max_retries {
@@ -1384,7 +1493,7 @@ impl ProtocolNode {
                 // extras, and the stamp stays inside the freshness window.
                 ctx.broadcast(entry.frame.clone());
                 self.stats.retransmits += 1;
-                self.recovery.pending.insert(key, entry);
+                self.recovery_mut().pending.insert(key, entry);
             } else {
                 ctx.trace(TraceEvent::AckTimeout {
                     key,
@@ -1411,7 +1520,7 @@ impl ProtocolNode {
         entry.attempt = 0;
         // Leave room for the repair round trip before retransmitting.
         entry.deadline = ctx.now() + self.stretched_backoff(ctx, 1);
-        self.recovery.pending.insert(key, entry);
+        self.recovery_mut().pending.insert(key, entry);
     }
 
     /// Answers a RouteRequest with a scoped beacon under the *requester's*
@@ -1430,7 +1539,7 @@ impl ProtocolNode {
             || self.muted
             || self.revoked
             || !self
-                .recovery
+                .recovery_state()
                 .route_reply_allowed(ctx.now(), rec.route_reply_cooldown)
         {
             return;
@@ -1447,17 +1556,18 @@ impl ProtocolNode {
             &Inner::Beacon,
         );
         ctx.broadcast(frame);
-        self.recovery.last_route_reply = Some(ctx.now());
+        self.recovery_mut().last_route_reply = Some(ctx.now());
     }
 
     /// Arms the next head heartbeat, bounded by the absolute horizon so
     /// run-to-quiescence simulations terminate.
     fn arm_heartbeat(&mut self, ctx: &mut impl Transport) {
         let rec = &self.cfg.recovery;
-        if !rec.enabled || rec.heartbeat_until == 0 || self.role != Role::Head || self.revoked {
+        let until = self.heartbeat_until();
+        if !rec.enabled || until == 0 || self.role != Role::Head || self.revoked {
             return;
         }
-        if ctx.now() + rec.heartbeat_period <= rec.heartbeat_until {
+        if ctx.now() + rec.heartbeat_period <= until {
             ctx.set_timer(TIMER_HEARTBEAT, rec.heartbeat_period);
         }
     }
@@ -1468,12 +1578,11 @@ impl ProtocolNode {
     /// failover detection; in hash-refresh mode the global lockstep keeps
     /// their keys current regardless.
     fn handle_heartbeat(&mut self, ctx: &mut impl Transport, outer_cid: ClusterId) {
-        let rec = &self.cfg.recovery;
-        if !rec.enabled || rec.heartbeat_until == 0 {
+        if !self.cfg.recovery.enabled || self.heartbeat_until() == 0 {
             return;
         }
         if self.role == Role::Member && self.cid == Some(outer_cid) && !self.revoked {
-            self.recovery.reelecting = false;
+            self.recovery_mut().reelecting = false;
             ctx.cancel_timer(TIMER_REELECT);
             self.arm_head_watch(ctx);
         }
@@ -1484,7 +1593,7 @@ impl ProtocolNode {
     /// is what keeps 2-hop joiners from raising false alarms.
     fn arm_head_watch(&mut self, ctx: &mut impl Transport) {
         let rec = &self.cfg.recovery;
-        if ctx.now() >= rec.heartbeat_until {
+        if ctx.now() >= self.heartbeat_until() {
             return;
         }
         let delay = rec
@@ -1503,53 +1612,49 @@ impl ProtocolNode {
         if !rec.enabled
             || self.role != Role::Member
             || self.revoked
-            || self.recovery.reelecting
+            || self.recovery_state().reelecting
             || self.cid.is_none()
         {
             return;
         }
-        if ctx.now() > rec.heartbeat_until {
+        if ctx.now() > self.heartbeat_until() {
             // Silence past the horizon is end-of-observation, not loss.
             return;
         }
         ctx.trace(TraceEvent::HeadLost {
             cid: self.cid.unwrap_or_default(),
         });
-        self.recovery.reelecting = true;
+        self.recovery_mut().reelecting = true;
         let raw = exp_delay(ctx.rng(), self.cfg.election_rate);
         let delay_us = (raw * SECOND as f64) as SimTime;
         if delay_us <= rec.reelect_window {
-            self.recovery.reelect_runner = true;
+            self.recovery_mut().reelect_runner = true;
             ctx.set_timer(TIMER_REELECT, delay_us.max(1));
         } else {
             // Sit out the window; if no NewHead is heard by its end,
             // adopt into a neighboring cluster (§IV-E path).
-            self.recovery.reelect_runner = false;
+            self.recovery_mut().reelect_runner = false;
             ctx.set_timer(TIMER_REELECT, rec.reelect_window);
         }
     }
 
     fn on_reelect_timer(&mut self, ctx: &mut impl Transport) {
-        if !self.recovery.reelecting || self.role != Role::Member || self.revoked {
+        if !self.recovery_state().reelecting || self.role != Role::Member || self.revoked {
             return;
         }
-        self.recovery.reelecting = false;
-        if self.recovery.reelect_runner {
+        let rec = self.recovery_mut();
+        rec.reelecting = false;
+        if rec.reelect_runner {
             self.promote_to_head(ctx);
             return;
         }
         // Window closed with no successor heard. Adopt the smallest-ID
         // neighboring cluster from S (deterministic tie-break), or run
         // for head ourselves as the last resort when S is empty.
-        let adopt = self
-            .neighbor_keys
-            .iter()
-            .min_by_key(|(c, _)| **c)
-            .map(|(c, k)| (*c, *k));
-        match adopt {
+        match self.neighbor_keys.0.first().copied() {
             Some((new_cid, new_kc)) => {
                 let old = self.cid.zip(self.cluster_key);
-                self.neighbor_keys.remove(&new_cid);
+                self.neighbor_keys.remove(new_cid);
                 if let Some((oc, ok)) = old {
                     // Keep the orphaned cluster's key: its traffic may
                     // still be in flight and we can keep forwarding it.
@@ -1638,11 +1743,12 @@ impl ProtocolNode {
             ctx.broadcast(frame);
             self.neighbor_keys.insert(oc, ok);
             self.note_neighbor_peak();
-            self.neighbor_keys.remove(&new_cid);
+            self.neighbor_keys.remove(new_cid);
             self.cid = Some(new_cid);
             self.cluster_key = Some(new_kc);
-            self.recovery.reelecting = false;
-            self.recovery.reelect_runner = false;
+            let rec = self.recovery_mut();
+            rec.reelecting = false;
+            rec.reelect_runner = false;
             ctx.cancel_timer(TIMER_REELECT);
             ctx.trace(TraceEvent::ClusterJoined { head: new_cid });
         } else {
@@ -1666,7 +1772,7 @@ impl ProtocolNode {
         if self.cid != Some(cid) {
             return false;
         }
-        let Some(pk) = self.recovery.prev_cluster_key else {
+        let Some(pk) = self.recovery_state().prev_cluster_key else {
             return false;
         };
         let mut scratch = std::mem::take(&mut self.rx_scratch);
@@ -1683,7 +1789,7 @@ impl ProtocolNode {
         if let Ok(u) = result {
             match u.inner {
                 Inner::Ack { key } => {
-                    if self.recovery.ack(key) {
+                    if self.recovery_ack(key) {
                         self.arm_retx_timer(ctx);
                     }
                     return true;
@@ -1695,7 +1801,7 @@ impl ProtocolNode {
                     if self.cfg.resources.enabled {
                         self.resource.note_busy(&self.cfg.resources, ctx.now());
                     }
-                    if self.recovery.ack(key) {
+                    if self.recovery_ack(key) {
                         self.arm_retx_timer(ctx);
                     }
                     return true;
@@ -1746,7 +1852,7 @@ impl ProtocolNode {
                     }
                     // Frames enrolled under pre-catch-up keys are
                     // undecipherable noise now; drop them.
-                    self.recovery.pending.clear();
+                    self.recovery_mut().pending.clear();
                     ctx.cancel_timer(TIMER_RETX);
                     ctx.trace(TraceEvent::EpochCatchUp {
                         from_epoch,
@@ -1763,7 +1869,7 @@ impl ProtocolNode {
                     for _ in 0..k {
                         self.apply_hash_refresh();
                     }
-                    self.recovery.pending.clear();
+                    self.recovery_mut().pending.clear();
                     ctx.cancel_timer(TIMER_RETX);
                     ctx.trace(TraceEvent::EpochCatchUp {
                         from_epoch,
@@ -1822,8 +1928,12 @@ impl ProtocolNode {
                 self.broadcast_link_advert(ctx);
             }
             TIMER_ERASE => {
-                if self.keys.km.is_some() {
+                if let Some(km) = &self.keys.km {
                     ctx.trace(TraceEvent::KmErased);
+                    // The cached sealer holds `F(Km, 0)` and `F(Km, 1)`,
+                    // which open and forge HELLO and LINK frames as well
+                    // as `Km` itself: erase it with the key.
+                    self.sealers.forget(km);
                 }
                 self.keys.erase_km();
                 self.arm_auto_refresh(ctx);
@@ -1855,7 +1965,7 @@ impl ProtocolNode {
                             // may have come through clusters that cannot
                             // decrypt our traffic), accept only own-cluster
                             // beacons from here on, and solicit one now.
-                            self.recovery.own_cid_beacons_only = true;
+                            self.recovery_mut().own_cid_beacons_only = true;
                             self.gradient = Gradient::default();
                             self.broadcast_wrapped(ctx, &Inner::RouteRequest);
                         }
@@ -1928,16 +2038,16 @@ impl App for ProtocolNode {
 }
 
 /// The app type deployed on every simulated node: a sensor or the base
-/// station.
-// Both variants are inherently large (a node's full key tables and
-// buffers); boxing one would only flip the imbalance while adding an
-// indirection to every event dispatch in the simulator hot loop.
+/// station. The base station is boxed: there are one to a few of it
+/// against up to millions of sensors, so inline it would set the size of
+/// every sensor's slot. Sensors stay inline: boxing them would add an
+/// allocation per node and an indirection to every event dispatch.
 #[allow(clippy::large_enum_variant)]
 pub enum ProtocolApp {
     /// A regular sensor node.
     Sensor(ProtocolNode),
     /// The base station (node 0 by convention in [`crate::setup`]).
-    Base(crate::base_station::BaseStation),
+    Base(Box<crate::base_station::BaseStation>),
 }
 
 impl ProtocolApp {
@@ -2054,11 +2164,14 @@ mod tests {
         n.cluster_key = Some(n.keys.kci);
         n.neighbor_keys.insert(9, Key128::from_bytes([9; 16]));
         let before_own = n.cluster_key.unwrap();
-        let before_nbr = n.neighbor_keys[&9];
+        let before_nbr = n.neighbor_keys.get(9).unwrap();
         n.apply_hash_refresh();
         assert_eq!(n.epoch(), 1);
         assert_ne!(n.cluster_key.unwrap(), before_own);
-        assert_ne!(n.neighbor_keys[&9], before_nbr);
+        assert_eq!(
+            n.neighbor_keys.get(9),
+            Some(refresh::hash_step(&before_nbr))
+        );
         assert_eq!(n.cluster_key.unwrap(), refresh::hash_step(&before_own));
     }
 
@@ -2137,6 +2250,42 @@ mod tests {
         };
         assert_eq!(d.total(), 15);
         assert_eq!(DropCounts::default().total(), 0);
+    }
+
+    #[test]
+    fn sensor_slot_stays_small() {
+        // A deployment holds one of these per node, a million of them in
+        // the million-node run: inline growth costs memory at that scale.
+        assert!(std::mem::size_of::<ProtocolNode>() <= 640);
+        assert!(std::mem::size_of::<ProtocolApp>() <= 640);
+    }
+
+    #[test]
+    fn no_cached_sealer_opens_km_frames_after_erasure() {
+        use crate::forward::seal_setup;
+        use crate::setup::{run_setup, SetupParams};
+        let params = SetupParams {
+            n: 120,
+            density: 10.0,
+            seed: 17,
+            cfg: ProtocolConfig::default(),
+        };
+        let out = run_setup(&params);
+        // Scenarios provision from stream 1 of the master seed.
+        let km = Provisioner::new(wsn_sim::rng::derive_seed(params.seed, 1)).km();
+        let (nonce, hello) = seal_setup(&km, 3, 0, 3, &Key128::from_bytes([7; 16]));
+        let h = &out.handle;
+        for id in h.sensor_ids() {
+            let n = h.sensor(id);
+            assert!(!n.holds_km());
+            assert!(
+                n.sealers
+                    .sealers()
+                    .all(|ae| open_setup_with(ae, nonce, &hello).is_err()),
+                "node {id} still opens Km-sealed HELLOs after erasure"
+            );
+            assert_eq!(n.sealers.len(), 0, "node {id} caches a sealer");
+        }
     }
 
     #[test]

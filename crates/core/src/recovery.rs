@@ -108,6 +108,17 @@ pub struct RecoveryState {
 }
 
 impl RecoveryState {
+    /// The state of a node whose recovery layer never ran.
+    pub const IDLE: RecoveryState = RecoveryState {
+        pending: BTreeMap::new(),
+        prev_cluster_key: None,
+        reelecting: false,
+        reelect_runner: false,
+        last_route_reply: None,
+        own_cid_beacons_only: false,
+        unhealed_auth_failures: 0,
+    };
+
     /// Clears a pending entry; returns `true` if it existed (the caller
     /// should then re-arm the scan timer).
     pub fn ack(&mut self, key: u64) -> bool {

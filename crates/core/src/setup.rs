@@ -48,6 +48,7 @@ use crate::stats::SetupReport;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
+use std::sync::Arc;
 use wsn_crypto::drbg::HmacDrbg;
 use wsn_crypto::Key128;
 use wsn_sim::event::SimTime;
@@ -121,8 +122,8 @@ struct Deployment {
     apps: Vec<ProtocolApp>,
     /// The provisioning authority (registry complete for all `n` nodes).
     provisioner: Provisioner,
-    /// The protocol configuration in force.
-    cfg: ProtocolConfig,
+    /// The protocol configuration in force, shared by every sensor.
+    cfg: Arc<ProtocolConfig>,
     /// Number of sinks (1 when the multi-sink subsystem is off).
     n_sinks: u32,
     /// The scenario's master seed; engines derive their sub-streams from
@@ -235,7 +236,7 @@ impl<'a> Scenario<'a> {
         let cluster_keys: HashMap<ClusterId, Key128> = (0..params.n as u32)
             .map(|id| (id, provisioner.cluster_key_of(id)))
             .collect();
-        let cfg = params.cfg.clone();
+        let cfg = Arc::new(params.cfg);
 
         let apps: Vec<ProtocolApp> = materials
             .drain(..)
@@ -255,16 +256,16 @@ impl<'a> Scenario<'a> {
                     } else {
                         registry.clone()
                     };
-                    ProtocolApp::Base(BaseStation::new(
-                        cfg.clone(),
+                    ProtocolApp::Base(Box::new(BaseStation::new(
+                        ProtocolConfig::clone(&cfg),
                         m.id,
                         provisioner.km(),
                         partition,
                         cluster_keys.clone(),
                         provisioner.revocation_chain(),
-                    ))
+                    )))
                 } else {
-                    ProtocolApp::Sensor(ProtocolNode::new(cfg.clone(), m))
+                    ProtocolApp::Sensor(ProtocolNode::new(Arc::clone(&cfg), m))
                 }
             })
             .collect();
@@ -294,15 +295,17 @@ impl<'a> Scenario<'a> {
         let n_sinks = dep.n_sinks;
         let provisioner = dep.provisioner;
 
-        let mut pool: Vec<Option<ProtocolApp>> = dep.apps.into_iter().map(Some).collect();
+        // `make_app` is called in ascending id order by both engines, and
+        // `apps` is in id order, so the engines take the apps straight off
+        // the iterator; its buffer is freed as soon as construction ends.
+        let mut apps = dep.apps.into_iter();
+        let next_app = move |_: u32| apps.next().expect("one app per node");
         let sim = match shards.region_count() {
             None => {
                 // Legacy single-heap engine: the default, and the only
                 // engine that supports pre-run attack hooks.
                 let mut sim =
-                    Simulator::with_config(dep.topo, dep.radio, derive_seed(seed, 2), |id| {
-                        pool[id as usize].take().expect("app built once")
-                    });
+                    Simulator::with_config(dep.topo, dep.radio, derive_seed(seed, 2), next_app);
                 if let Some(sink) = dep.sink {
                     sim.install_trace_boxed(sink);
                 }
@@ -327,7 +330,7 @@ impl<'a> Scenario<'a> {
                     dep.radio.clone(),
                     derive_seed(seed, 2),
                     k,
-                    |id| pool[id as usize].take().expect("app built once"),
+                    next_app,
                 );
                 let tracing = dep.sink.is_some();
                 if tracing {
@@ -391,7 +394,7 @@ pub fn run_setup(params: &SetupParams) -> SetupOutcome {
 /// node addition) and a key-generation DRBG (for re-cluster refresh).
 pub struct NetworkHandle {
     sim: Simulator<ProtocolApp>,
-    cfg: ProtocolConfig,
+    cfg: Arc<ProtocolConfig>,
     provisioner: Provisioner,
     setup_counters: Counters,
     key_rng: HmacDrbg,
@@ -763,7 +766,7 @@ impl NetworkHandle {
             .iter()
             .map(|&id| {
                 let m = self.provisioner.provision_new_node(id);
-                ProtocolApp::Sensor(ProtocolNode::new_joiner(self.cfg.clone(), m))
+                ProtocolApp::Sensor(ProtocolNode::new_joiner(Arc::clone(&self.cfg), m))
             })
             .collect();
         let registrations: Vec<(u32, Key128, Key128)> = new_ids
@@ -790,7 +793,7 @@ impl NetworkHandle {
                 vec![Point::new(0.1, 0.1), Point::new(0.9, 0.9)],
             ),
             |_| {
-                ProtocolApp::Sensor(ProtocolNode::new(self.cfg.clone(), {
+                ProtocolApp::Sensor(ProtocolNode::new(Arc::clone(&self.cfg), {
                     let mut p = Provisioner::new(0);
                     p.provision(u32::MAX)
                 }))
@@ -802,9 +805,7 @@ impl NetworkHandle {
         // (and its sequence counter) survive the rebuild the same way.
         let resume_at = old_sim.now();
         let trace_state = old_sim.take_trace_state();
-        let (_, old_apps, _) = old_sim.into_parts();
-        let mut pool: Vec<Option<ProtocolApp>> =
-            old_apps.into_iter().chain(joiner_apps).map(Some).collect();
+        let (_, mut old_apps, _) = old_sim.into_parts();
         for (id, ki, kc) in registrations {
             // Multi-sink: the joiner's partition entry starts at its home
             // sink; cluster keys are replicated at every sink.
@@ -815,20 +816,19 @@ impl NetworkHandle {
                 }
                 None => 0,
             };
-            for k in 0..pool.len() as u32 {
-                if let Some(ProtocolApp::Base(bs)) = pool[k as usize].as_mut() {
-                    if k == home {
-                        bs.register_node(id, ki, kc);
-                    } else {
-                        bs.set_cluster_key(id, kc);
-                    }
+            // Sinks are node ids 0..K, ahead of every sensor.
+            let sinks = old_apps.iter_mut().map_while(ProtocolApp::as_base_mut);
+            for (k, bs) in (0u32..).zip(sinks) {
+                if k == home {
+                    bs.register_node(id, ki, kc);
                 } else {
-                    break;
+                    bs.set_cluster_key(id, kc);
                 }
             }
         }
-        self.sim = Simulator::with_config_at(topo, RadioConfig::default(), seed, resume_at, |id| {
-            pool[id as usize].take().expect("app built once")
+        let mut apps = old_apps.into_iter().chain(joiner_apps);
+        self.sim = Simulator::with_config_at(topo, RadioConfig::default(), seed, resume_at, |_| {
+            apps.next().expect("one app per node")
         });
         self.sim.restore_trace_state(trace_state);
         self.sim.run();
@@ -908,7 +908,7 @@ impl NetworkHandle {
         let kc = self.provisioner.cluster_key_of(id);
         self.sim.replace_app(
             id,
-            ProtocolApp::Sensor(ProtocolNode::new_joiner(self.cfg.clone(), m)),
+            ProtocolApp::Sensor(ProtocolNode::new_joiner(Arc::clone(&self.cfg), m)),
         );
         // Re-register at whichever sink currently serves the node (its
         // partition entry may have been handed off since deployment).

@@ -42,6 +42,11 @@ pub struct SinkTable {
 }
 
 impl SinkTable {
+    /// A table with no gradient to any sink.
+    pub const EMPTY: SinkTable = SinkTable {
+        grads: BTreeMap::new(),
+    };
+
     /// Hop distance to `sink` ([`NO_GRADIENT`] if never heard from).
     pub fn hops_to(&self, sink: u32) -> u32 {
         self.grads.get(&sink).map_or(NO_GRADIENT, |g| g.hops())

@@ -30,7 +30,7 @@
 //!    window (frames racing the install) and only reported.
 //!
 //! ```text
-//! sink-failover-soak --motes 1500 --sinks 3 --csv results/figures/sinkfailover.csv
+//! sink-failover-soak --motes 1500 --sinks 3 --csv results/figures/sinkfailover_soak.csv
 //! ```
 //!
 //! Exit status 0 = pass.

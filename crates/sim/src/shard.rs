@@ -180,16 +180,17 @@ struct Shard<A> {
 }
 
 impl<A: App> Shard<A> {
-    fn empty() -> Self {
+    /// An empty region with room for `nodes` nodes.
+    fn with_capacity(nodes: usize) -> Self {
         Shard {
-            nodes: Vec::new(),
-            apps: Vec::new(),
-            rngs: Vec::new(),
-            ctrs: Vec::new(),
-            trace_seq: Vec::new(),
+            nodes: Vec::with_capacity(nodes),
+            apps: Vec::with_capacity(nodes),
+            rngs: Vec::with_capacity(nodes),
+            ctrs: Vec::with_capacity(nodes),
+            trace_seq: Vec::with_capacity(nodes),
             heap: BinaryHeap::new(),
             timers: HashMap::new(),
-            counters: Counters::new(0),
+            counters: Counters::new(nodes),
             sink: None,
             scratch: Vec::with_capacity(8),
             now: 0,
@@ -479,7 +480,11 @@ impl<A: App> ShardedSimulator<A> {
         let n = topo.n();
         let region_of = assign_regions(&topo, regions);
         let mut local_of = vec![0u32; n];
-        let mut shards: Vec<Shard<A>> = (0..regions).map(|_| Shard::empty()).collect();
+        let mut sizes = vec![0usize; regions];
+        for &r in &region_of {
+            sizes[r as usize] += 1;
+        }
+        let mut shards: Vec<Shard<A>> = sizes.into_iter().map(Shard::with_capacity).collect();
         for id in 0..n as NodeId {
             let shard = &mut shards[region_of[id as usize] as usize];
             local_of[id as usize] = shard.nodes.len() as u32;
@@ -500,9 +505,6 @@ impl<A: App> ShardedSimulator<A> {
                 },
                 kind: EventKind::Start(id),
             });
-        }
-        for shard in &mut shards {
-            shard.counters = Counters::new(shard.nodes.len());
         }
         ShardedSimulator {
             topo,
@@ -583,16 +585,22 @@ impl<A: App> ShardedSimulator<A> {
     /// needs to continue the run on the single-heap engine.
     pub fn into_parts(self) -> (Topology, Vec<A>, Counters) {
         let counters = self.counters();
-        let n = self.topo.n();
-        let mut slots: Vec<Option<A>> = (0..n).map(|_| None).collect();
-        for shard in self.shards {
-            for (id, app) in shard.nodes.into_iter().zip(shard.apps) {
-                slots[id as usize] = Some(app);
-            }
-        }
-        let apps = slots
+        // Each region holds its nodes in ascending id order, so walking the
+        // global ids and taking the next app of the owning region merges
+        // the regions without an intermediate slot per node.
+        let mut regions: Vec<_> = self
+            .shards
             .into_iter()
-            .map(|a| a.expect("every node owned by exactly one shard"))
+            .map(|s| s.apps.into_iter())
+            .collect();
+        let apps = self
+            .region_of
+            .iter()
+            .map(|&r| {
+                regions[r as usize]
+                    .next()
+                    .expect("every node owned by exactly one shard")
+            })
             .collect();
         (self.topo, apps, counters)
     }
@@ -721,14 +729,27 @@ mod tests {
     /// runs a re-armed timer — exercising deliveries, timers, RNG
     /// streams, and cancellation across region borders.
     struct Flood {
+        /// The node id this app was built for.
+        built_for: NodeId,
         heard: u64,
         relayed: bool,
         draws: u64,
         fires: u64,
     }
 
+    fn flood(id: NodeId) -> Flood {
+        Flood {
+            built_for: id,
+            heard: 0,
+            relayed: false,
+            draws: 0,
+            fires: 0,
+        }
+    }
+
     impl App for Flood {
         fn on_start(&mut self, ctx: &mut Ctx) {
+            assert_eq!(ctx.id(), self.built_for, "app started on its own node");
             if ctx.id() == 0 {
                 ctx.broadcast(vec![7u8; 8]);
             }
@@ -756,12 +777,7 @@ mod tests {
     fn snapshot(k: usize, loss: f64) -> (Vec<(u64, u64, u64)>, u64, SimTime, Vec<u64>, usize) {
         let topo = Topology::random(&TopologyConfig::with_density(300, 10.0), 3);
         let radio = RadioConfig::default().with_loss(loss);
-        let mut sim = ShardedSimulator::new(topo, radio, 42, k, |_| Flood {
-            heard: 0,
-            relayed: false,
-            draws: 0,
-            fires: 0,
-        });
+        let mut sim = ShardedSimulator::new(topo, radio, 42, k, flood);
         sim.enable_trace();
         let end = sim.run();
         let trace = sim.take_merged_trace();
@@ -801,12 +817,7 @@ mod tests {
     fn full_trace_identical_across_shard_counts() {
         let run = |k: usize| {
             let topo = Topology::random(&TopologyConfig::with_density(120, 10.0), 9);
-            let mut sim = ShardedSimulator::new(topo, RadioConfig::default(), 5, k, |_| Flood {
-                heard: 0,
-                relayed: false,
-                draws: 0,
-                fires: 0,
-            });
+            let mut sim = ShardedSimulator::new(topo, RadioConfig::default(), 5, k, flood);
             sim.enable_trace();
             sim.run();
             sim.take_merged_trace()
@@ -855,32 +866,31 @@ mod tests {
     fn contention_radio_rejected() {
         let topo = Topology::random(&TopologyConfig::with_density(10, 5.0), 0);
         let radio = RadioConfig::default().with_contention();
-        let _ = ShardedSimulator::new(topo, radio, 0, 2, |_| Flood {
-            heard: 0,
-            relayed: false,
-            draws: 0,
-            fires: 0,
-        });
+        let _ = ShardedSimulator::new(topo, radio, 0, 2, flood);
     }
 
     #[test]
     fn collapse_matches_sharded_state() {
         use crate::net::Simulator;
-        let topo = Topology::random(&TopologyConfig::with_density(80, 10.0), 2);
-        let radio = RadioConfig::default();
-        let mut sh = ShardedSimulator::new(topo, radio.clone(), 11, 4, |_| Flood {
-            heard: 0,
-            relayed: false,
-            draws: 0,
-            fires: 0,
-        });
-        let end = sh.run();
-        let events = sh.events_processed();
-        let (topo, apps, counters) = sh.into_parts();
-        let sim = Simulator::from_parts_at(topo, radio, 99, end, apps, counters, events);
-        assert_eq!(sim.now(), end);
-        assert_eq!(sim.events_processed(), events);
-        assert!(sim.counters().total_tx_msgs() > 0);
-        assert_eq!(sim.apps().len(), 80);
+        for k in [1, 2, 4] {
+            let topo = Topology::random(&TopologyConfig::with_density(80, 10.0), 2);
+            let radio = RadioConfig::default();
+            let mut sh = ShardedSimulator::new(topo, radio.clone(), 11, k, flood);
+            let end = sh.run();
+            let events = sh.events_processed();
+            let (topo, apps, counters) = sh.into_parts();
+            // Apps come back in global id order whatever the region split.
+            assert!(
+                apps.iter()
+                    .enumerate()
+                    .all(|(i, a)| a.built_for == i as NodeId),
+                "k = {k}: apps out of id order"
+            );
+            let sim = Simulator::from_parts_at(topo, radio, 99, end, apps, counters, events);
+            assert_eq!(sim.now(), end);
+            assert_eq!(sim.events_processed(), events);
+            assert!(sim.counters().total_tx_msgs() > 0);
+            assert_eq!(sim.apps().len(), 80);
+        }
     }
 }
