@@ -25,7 +25,7 @@ use rand::Rng;
 use std::collections::HashMap;
 use wsn_crypto::keychain::KeyChain;
 use wsn_crypto::Key128;
-use wsn_sim::event::MILLI;
+use wsn_sim::event::{SimTime, MILLI};
 use wsn_sim::node::{App, Ctx, NodeId, TimerKey};
 
 /// Timer: originate a routing beacon flood.
@@ -95,7 +95,7 @@ pub struct BaseStation {
     sealers: SealerCache,
     /// When the BS last answered a RouteRequest (recovery-layer rate
     /// limiting, mirrors the sensors' cooldown).
-    last_route_reply: Option<wsn_sim::event::SimTime>,
+    last_route_reply: Option<SimTime>,
     /// Reusable decrypt buffer for the receive path.
     rx_scratch: Vec<u8>,
     /// Crash-safety journal: when enabled (see [`Self::enable_journal`]),
@@ -192,6 +192,22 @@ impl BaseStation {
         }
         self.own_kc = self.cluster_keys[&self.id];
         self.epoch += 1;
+    }
+
+    /// Rolls forward through every auto-refresh epoch whose boundary
+    /// (`erase_km_at + k · period`) is at or before `now`. Every live
+    /// node rolled at those boundaries, so a base station that starts
+    /// (or restarts) late must do the same before it sees traffic. The
+    /// rolls are journaled like any other.
+    pub fn catch_up_refresh(&mut self, now: SimTime) {
+        if self.cfg.auto_refresh_epochs == 0 {
+            return;
+        }
+        let elapsed = now.saturating_sub(self.cfg.erase_km_at) / self.cfg.auto_refresh_period;
+        let due = elapsed.min(self.cfg.auto_refresh_epochs as u64) as u32;
+        while self.epoch < due {
+            self.apply_hash_refresh();
+        }
     }
 
     /// Registers a node provisioned after initial deployment (§IV-E): its

@@ -19,6 +19,8 @@
 //!    *expected* (the dedup cache is memory-only, so post-restart
 //!    retransmits of already-journaled readings replay their counters —
 //!    and still get ACKed) and only reported.
+//! 4. **No storage failure**: no daemon shard stopped on a failed WAL
+//!    append or snapshot (`storage` in the `errors:` segment).
 //!
 //! ```text
 //! crash-soak --motes 2000 --duration 16 --kill-at 6 --csv results/crashsoak.csv
@@ -206,14 +208,8 @@ fn main() {
         report.send_errors,
     );
     println!(
-        "durable registry: {} / {motes} mote ids (missing {missing}) | daemon errors: \
-         auth {} stale {} malformed {} unknown {} ctr {}",
+        "durable registry: {} / {motes} mote ids (missing {missing}) | daemon {e}",
         durable.len().min(motes),
-        e.auth,
-        e.stale,
-        e.malformed,
-        e.unknown,
-        e.ctr,
     );
     if let (Some(p50), Some(p99)) = (report.p50_us, report.p99_us) {
         println!(
@@ -278,6 +274,13 @@ fn main() {
             "crash-soak: FAIL — hard protocol errors (auth {} > budget {auth_budget}, \
              stale {}, malformed {}, unknown {})",
             e.auth, e.stale, e.malformed, e.unknown
+        );
+        failed = true;
+    }
+    if e.storage > 0 {
+        eprintln!(
+            "crash-soak: FAIL — {} shard(s) stopped on a storage error",
+            e.storage
         );
         failed = true;
     }

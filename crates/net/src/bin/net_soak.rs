@@ -162,7 +162,7 @@ fn main() {
     let accepted_per_sec = accepted as f64 / report.elapsed.as_secs_f64();
     println!(
         "sent {} ({:.0}/s) | accepted {} ({:.0}/s) | shed {} | admission shed {} | \
-         protocol errors {} | acks {}",
+         protocol errors {} | storage {} | acks {}",
         report.sent,
         report.sent_per_sec,
         accepted,
@@ -170,6 +170,7 @@ fn main() {
         shed,
         admit_shed,
         errors,
+        stats.storage_failures.load(Ordering::Relaxed),
         report.acks_seen,
     );
     if admit {

@@ -28,6 +28,8 @@
 //!    zero across all daemons; auth failures stay inside a small race
 //!    budget. Unknown-cluster drops are *expected* during the takeover
 //!    window (frames racing the install) and only reported.
+//! 4. **No storage failure**: no daemon shard stopped on a failed WAL
+//!    append or snapshot (`storage` in the `errors:` segment).
 //!
 //! ```text
 //! sink-failover-soak --motes 1500 --sinks 3 --csv results/figures/sinkfailover_soak.csv
@@ -302,14 +304,8 @@ fn main() {
         report_a.socket_retries + report_b.socket_retries + report_c.socket_retries,
     );
     println!(
-        "surviving durable registries: {} ids (missing {missing} of {motes}) | daemon errors: \
-         auth {} stale {} malformed {} unknown {} ctr {}",
+        "surviving durable registries: {} ids (missing {missing} of {motes}) | daemon {e}",
         durable.len(),
-        e.auth,
-        e.stale,
-        e.malformed,
-        e.unknown,
-        e.ctr,
     );
 
     if let Some(csv) = opt(&args, "--csv") {
@@ -381,6 +377,13 @@ fn main() {
             "sink-failover-soak: FAIL — hard protocol errors (auth {} > budget {auth_budget}, \
              stale {}, malformed {})",
             e.auth, e.stale, e.malformed
+        );
+        failed = true;
+    }
+    if e.storage > 0 {
+        eprintln!(
+            "sink-failover-soak: FAIL — {} shard(s) stopped on a storage error",
+            e.storage
         );
         failed = true;
     }

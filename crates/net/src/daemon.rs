@@ -2,8 +2,9 @@
 //! the spawn helper the kill gauntlets (`crash-soak`,
 //! `sink-failover-soak`) share.
 //!
-//! The daemon prints `errors: auth N stale N malformed N unknown N ctr N`
-//! inside every stats line through [`DaemonErrors`]'s `Display`, and the
+//! The daemon prints
+//! `errors: auth N stale N malformed N unknown N ctr N storage N` inside
+//! every stats line through [`DaemonErrors`]'s `Display`, and the
 //! soaks read it back with [`DaemonErrors::parse`], so the format lives
 //! in this module only.
 
@@ -16,7 +17,7 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
-/// A daemon's protocol error counters, as its stats line reports them.
+/// A daemon's error counters, as its stats line reports them.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DaemonErrors {
     /// Frames that failed cluster-layer authentication.
@@ -29,6 +30,8 @@ pub struct DaemonErrors {
     pub unknown: u64,
     /// End-to-end counter rejections.
     pub ctr: u64,
+    /// Shards stopped by a storage error (they ACK nothing more).
+    pub storage: u64,
 }
 
 impl DaemonErrors {
@@ -40,19 +43,21 @@ impl DaemonErrors {
             malformed: s.malformed.load(Ordering::Relaxed),
             unknown: s.unknown_cluster.load(Ordering::Relaxed),
             ctr: s.counter_rejects.load(Ordering::Relaxed),
+            storage: s.storage_failures.load(Ordering::Relaxed),
         }
     }
 
     /// Reads the `errors:` segment of a stats line: the text after
     /// `errors:` up to the next `|`. `None` if the line has no such
-    /// segment or the segment is not exactly the five named counters.
+    /// segment or the segment is not exactly the six named counters.
     pub fn parse(line: &str) -> Option<Self> {
         let segment = line.split("errors:").nth(1)?.split('|').next()?;
         let words: Vec<&str> = segment.split_whitespace().collect();
-        let [a, auth, s, stale, m, malformed, u, unknown, c, ctr] = words[..] else {
+        let [a, auth, s, stale, m, malformed, u, unknown, c, ctr, st, storage] = words[..] else {
             return None;
         };
-        if [a, s, m, u, c] != ["auth", "stale", "malformed", "unknown", "ctr"] {
+        let names = ["auth", "stale", "malformed", "unknown", "ctr", "storage"];
+        if [a, s, m, u, c, st] != names {
             return None;
         }
         Some(DaemonErrors {
@@ -61,6 +66,7 @@ impl DaemonErrors {
             malformed: malformed.parse().ok()?,
             unknown: unknown.parse().ok()?,
             ctr: ctr.parse().ok()?,
+            storage: storage.parse().ok()?,
         })
     }
 
@@ -70,6 +76,7 @@ impl DaemonErrors {
         self.malformed += o.malformed;
         self.unknown += o.unknown;
         self.ctr += o.ctr;
+        self.storage += o.storage;
     }
 }
 
@@ -77,8 +84,8 @@ impl fmt::Display for DaemonErrors {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "errors: auth {} stale {} malformed {} unknown {} ctr {}",
-            self.auth, self.stale, self.malformed, self.unknown, self.ctr
+            "errors: auth {} stale {} malformed {} unknown {} ctr {} storage {}",
+            self.auth, self.stale, self.malformed, self.unknown, self.ctr, self.storage
         )
     }
 }
@@ -138,6 +145,7 @@ mod tests {
             malformed: 2,
             unknown: 3,
             ctr: 9,
+            storage: 1,
         };
         // Embedded as `wsn-bs` prints it: more segments on either side.
         let line = format!("rx 10 (+1/s) | accepted 9 (+1/s) | {e} | unroutable 4 | wal 5 snap 0");
@@ -147,13 +155,13 @@ mod tests {
 
     #[test]
     fn parse_rejects_malformed_segments() {
-        let ok = "errors: auth 0 stale 0 malformed 0 unknown 0 ctr 0";
+        let ok = "errors: auth 0 stale 0 malformed 0 unknown 0 ctr 0 storage 0";
         assert!(DaemonErrors::parse(ok).is_some());
         for bad in [
-            "errors: auth x stale 0 malformed 0 unknown 0 ctr 0",
-            "errors: auth 0 stale 0 malformed 0 unknown 0 ctr -1",
-            "errors: auth 0 stale 0 malformed 0 unknown 0",
-            "errors: auth 0 stale 0 bogus 0 unknown 0 ctr 0",
+            "errors: auth x stale 0 malformed 0 unknown 0 ctr 0 storage 0",
+            "errors: auth 0 stale 0 malformed 0 unknown 0 ctr -1 storage 0",
+            "errors: auth 0 stale 0 malformed 0 unknown 0 ctr 0",
+            "errors: auth 0 stale 0 bogus 0 unknown 0 ctr 0 storage 0",
             "rx 10 | accepted 9",
         ] {
             assert_eq!(DaemonErrors::parse(bad), None, "{bad}");

@@ -229,9 +229,16 @@ struct HeldFrame {
 /// socket next past the deadline). Inbound datagrams pass through the
 /// drop and corrupt knobs on the reverse link, so ACK loss is modeled
 /// too. The wrapped socket's blocking mode is untouched.
+///
+/// With a [`FaultConfig::disabled`] schedule the shim passes straight
+/// through: `send_to` and `recv_from` are the socket's own, with no copy
+/// and no engine call, so callers hold a `FaultySocket` whether or not
+/// they inject faults.
 pub struct FaultySocket {
     sock: UdpSocket,
     engine: FaultEngine,
+    /// The schedule is disabled: send and recv are the socket's own.
+    passthrough: bool,
     /// This endpoint's id for the per-link drop streams.
     link: NodeId,
     /// The other endpoint's id.
@@ -247,6 +254,7 @@ impl FaultySocket {
     pub fn new(sock: UdpSocket, cfg: FaultConfig, link: NodeId, peer: NodeId) -> Self {
         FaultySocket {
             sock,
+            passthrough: cfg.is_disabled(),
             engine: FaultEngine::new(cfg),
             link,
             peer,
@@ -309,6 +317,9 @@ impl FaultySocket {
     /// caller must observe loss end-to-end, exactly as with a real lossy
     /// network.
     pub fn send_to(&mut self, buf: &[u8], to: SocketAddr) -> io::Result<usize> {
+        if self.passthrough {
+            return self.sock.send_to(buf, to);
+        }
         self.flush_due()?;
         let now = self.now_us();
         let copies = self.engine.decide(self.link, self.peer, buf.len(), now);
@@ -333,6 +344,9 @@ impl FaultySocket {
     /// are consumed and the read retried, so a nonblocking caller sees
     /// `WouldBlock` rather than a frame the schedule discarded.
     pub fn recv_from(&mut self, buf: &mut [u8]) -> io::Result<(usize, SocketAddr)> {
+        if self.passthrough {
+            return self.sock.recv_from(buf);
+        }
         self.flush_due()?;
         loop {
             let (n, from) = self.sock.recv_from(buf)?;

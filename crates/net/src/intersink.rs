@@ -42,7 +42,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::Duration;
 use wsn_core::forward::CounterWindow;
@@ -51,10 +51,11 @@ use wsn_core::sink::{home_sink, SinkNodeState};
 use wsn_crypto::hmac::HmacKey;
 use wsn_crypto::Key128;
 use wsn_sim::rng::derive_seed;
-use wsn_trace::{TraceEvent, TraceRecord, TraceSink};
+use wsn_trace::{TraceEvent, TraceSink};
 
 use crate::fault::{FaultConfig, FaultySocket};
-use crate::udp::{wall_us, CtrlCmd};
+use crate::shard::CtrlCmd;
+use crate::udp::{wall_us, SharedTrace};
 
 /// Wire magic + version for inter-sink datagrams.
 pub const INTERSINK_MAGIC: &[u8; 4] = b"ISK1";
@@ -987,27 +988,6 @@ enum ControlReq {
     Revoke { cids: Vec<u32>, nodes: Vec<u32> },
 }
 
-enum CtrlSocket {
-    Plain(UdpSocket),
-    Faulty(Box<FaultySocket>),
-}
-
-impl CtrlSocket {
-    fn send_to(&mut self, buf: &[u8], to: SocketAddr) -> io::Result<usize> {
-        match self {
-            CtrlSocket::Plain(s) => s.send_to(buf, to),
-            CtrlSocket::Faulty(s) => s.send_to(buf, to),
-        }
-    }
-
-    fn recv_from(&mut self, buf: &mut [u8]) -> io::Result<(usize, SocketAddr)> {
-        match self {
-            CtrlSocket::Plain(s) => s.recv_from(buf),
-            CtrlSocket::Faulty(s) => s.recv_from(buf),
-        }
-    }
-}
-
 /// A running inter-sink control plane: one thread owning the control
 /// socket and a [`ControlCore`], bridged to the data-plane worker
 /// shards through their [`CtrlCmd`] channels.
@@ -1047,40 +1027,24 @@ impl ControlPlane {
 
         let sock = UdpSocket::bind(cfg.bind)?;
         sock.set_read_timeout(Some(Duration::from_millis(20)))?;
-        let mut socket = match &cfg.faults {
-            Some(f) => CtrlSocket::Faulty(Box::new(FaultySocket::new(
-                sock,
-                FaultConfig {
-                    seed: derive_seed(f.seed, (INTERSINK_LINK_BASE + cfg.sink) as u64),
-                    ..f.clone()
-                },
-                INTERSINK_LINK_BASE + cfg.sink,
-                INTERSINK_PEER,
-            ))),
-            None => CtrlSocket::Plain(sock),
+        let faults = cfg.faults.clone().unwrap_or_else(FaultConfig::disabled);
+        let link = INTERSINK_LINK_BASE + cfg.sink;
+        let faults = FaultConfig {
+            seed: derive_seed(faults.seed, link as u64),
+            ..faults
         };
+        let mut socket = FaultySocket::new(sock, faults, link, INTERSINK_PEER);
 
         let stats = Arc::new(ControlStats::default());
         let shutdown = Arc::new(AtomicBool::new(false));
         let (req_tx, req_rx) = mpsc::channel::<ControlReq>();
         let thread_stats = Arc::clone(&stats);
         let thread_shutdown = Arc::clone(&shutdown);
-        let trace = trace.map(|sink| (Mutex::new(sink), AtomicU64::new(0)));
+        let trace = trace.map(SharedTrace::new);
 
         let thread = std::thread::spawn(move || {
             let mut core = ControlCore::new(cfg.sink, cfg.k, registry, cfg.timing, wall_us());
             let w = workers.len();
-            let record = |node: u32, event: TraceEvent| {
-                if let Some((sink, seq)) = &trace {
-                    let rec = TraceRecord {
-                        seq: seq.fetch_add(1, Ordering::Relaxed),
-                        at: wall_us(),
-                        node,
-                        event,
-                    };
-                    sink.lock().expect("trace sink poisoned").record(rec);
-                }
-            };
             let mut buf = vec![0u8; 2048];
             while !thread_shutdown.load(Ordering::Relaxed) {
                 let mut outs = Vec::new();
@@ -1091,8 +1055,9 @@ impl ControlPlane {
                         }
                     }
                 }
-                match socket.recv_from(&mut buf) {
-                    Ok((len, _addr)) => match open(&key, &buf[..len]) {
+                // Errors are timeouts (the shutdown poll) or transient.
+                if let Ok((len, _addr)) = socket.recv_from(&mut buf) {
+                    match open(&key, &buf[..len]) {
                         Some(msg) => {
                             thread_stats.msgs_rx.fetch_add(1, Ordering::Relaxed);
                             outs.extend(core.on_message(msg, wall_us()));
@@ -1100,11 +1065,7 @@ impl ControlPlane {
                         None => {
                             thread_stats.bad_auth.fetch_add(1, Ordering::Relaxed);
                         }
-                    },
-                    Err(e)
-                        if e.kind() == io::ErrorKind::WouldBlock
-                            || e.kind() == io::ErrorKind::TimedOut => {}
-                    Err(_) => {}
+                    }
                 }
                 outs.extend(core.on_tick(wall_us()));
 
@@ -1173,7 +1134,9 @@ impl ControlPlane {
                                 }
                                 _ => {}
                             }
-                            record(node, event);
+                            if let Some(t) = &trace {
+                                t.record(wall_us(), node, event);
+                            }
                         }
                     }
                 }

@@ -8,8 +8,10 @@
 //! - [`udp`]: a sharded UDP reactor — reader threads performing
 //!   pre-crypto admission control feed per-cluster worker shards over
 //!   bounded channels — serving the base station over real sockets,
-//!   with a write-ahead log ([`wal`]) and an inter-sink control plane
-//!   ([`intersink`]).
+//!   with an inter-sink control plane ([`intersink`]). Each worker is a
+//!   socket loop around a [`shard::DurableShard`], the caller-clocked
+//!   base-station shard that journals to a write-ahead log ([`wal`])
+//!   before it releases the replies that depend on it.
 //! - [`fault`]: seeded datagram fault schedules (drop, duplicate,
 //!   delay/reorder, corrupt). [`FaultySocket`] applies them to a UDP
 //!   socket; [`FaultEngine`] is also a `wsn_sim::link::DeliveryHook`,
@@ -28,6 +30,7 @@ pub mod daemon;
 pub mod fault;
 pub mod intersink;
 pub mod load;
+pub mod shard;
 pub mod udp;
 pub mod wal;
 

@@ -59,12 +59,34 @@ pub fn is_transient_socket_error(e: &io::Error) -> bool {
     )
 }
 
-/// Bounded exponential backoff for a streak of transient socket
-/// errors: 1 ms doubling to a 32 ms ceiling. Keeps a refused-to-dead
-/// target from spinning the sender loop while staying far below the
-/// ARQ retransmit timeout.
-fn transient_backoff(streak: u32) -> Duration {
-    Duration::from_millis(1u64 << streak.min(5))
+/// Absorbs a failed send instead of aborting the run. `WouldBlock`
+/// waits 50 µs. Other transient errors (a daemon restart's ECONNREFUSED
+/// burst on loopback, an interface flap's ENETUNREACH) back off 1 ms
+/// doubling to 32 ms over a streak: a refused-to-dead target cannot spin
+/// the sender, and the wait stays far below the ARQ retransmit timeout.
+/// The reading is lost (fire-and-forget) or re-sent by ARQ.
+fn absorb_send_error(e: &io::Error, streak: &mut u32, tally: &mut ThreadTally) {
+    if e.kind() == io::ErrorKind::WouldBlock {
+        std::thread::sleep(Duration::from_micros(50));
+        return;
+    }
+    tally.send_errors += 1;
+    if is_transient_socket_error(e) {
+        tally.socket_retries += 1;
+        std::thread::sleep(Duration::from_millis(1u64 << (*streak).min(5)));
+        *streak += 1;
+    }
+}
+
+/// Where a mote sends outside failover: its home sink (`id % sinks`,
+/// the sink holding its `Ki`) when `sinks > 1`, else the next target
+/// round-robin.
+fn home_target(params: &LoadParams, id: u32, round_robin: &mut usize) -> SocketAddr {
+    if params.sinks > 1 {
+        return params.targets[id as usize % params.sinks];
+    }
+    *round_robin += 1;
+    params.targets[(*round_robin - 1) % params.targets.len()]
 }
 
 /// The network-wide refresh schedule shared by daemon and generator:
@@ -360,47 +382,19 @@ struct ThreadTally {
     failovers: u64,
 }
 
-/// A sender socket, optionally behind the deterministic fault shim.
-enum LoadSocket {
-    Plain(UdpSocket),
-    Faulty(Box<FaultySocket>),
-}
-
-impl LoadSocket {
-    fn bind(thread_idx: usize, params: &LoadParams) -> io::Result<LoadSocket> {
-        let socket = UdpSocket::bind("127.0.0.1:0").or_else(|_| UdpSocket::bind("0.0.0.0:0"))?;
-        socket.set_nonblocking(true)?;
-        Ok(match &params.faults {
-            Some(f) => {
-                let cfg = FaultConfig {
-                    seed: derive_seed(f.seed, 7_000 + thread_idx as u64),
-                    ..f.clone()
-                };
-                // This thread is link `idx + 1`; the daemon end is 0.
-                LoadSocket::Faulty(Box::new(FaultySocket::new(
-                    socket,
-                    cfg,
-                    thread_idx as u32 + 1,
-                    0,
-                )))
-            }
-            None => LoadSocket::Plain(socket),
-        })
-    }
-
-    fn send_to(&mut self, buf: &[u8], to: SocketAddr) -> io::Result<usize> {
-        match self {
-            LoadSocket::Plain(s) => s.send_to(buf, to),
-            LoadSocket::Faulty(s) => s.send_to(buf, to),
-        }
-    }
-
-    fn recv_from(&mut self, buf: &mut [u8]) -> io::Result<(usize, SocketAddr)> {
-        match self {
-            LoadSocket::Plain(s) => s.recv_from(buf),
-            LoadSocket::Faulty(s) => s.recv_from(buf),
-        }
-    }
+/// Binds a nonblocking sender socket behind the fault shim, which passes
+/// straight through when `params.faults` is `None`. Each thread gets a
+/// sub-seeded schedule, so schedules never collide.
+fn bind_sender(thread_idx: usize, params: &LoadParams) -> io::Result<FaultySocket> {
+    let socket = UdpSocket::bind("127.0.0.1:0").or_else(|_| UdpSocket::bind("0.0.0.0:0"))?;
+    socket.set_nonblocking(true)?;
+    let faults = params.faults.clone().unwrap_or_else(FaultConfig::disabled);
+    let cfg = FaultConfig {
+        seed: derive_seed(faults.seed, 7_000 + thread_idx as u64),
+        ..faults
+    };
+    // This thread is link `idx + 1`; the daemon end is 0.
+    Ok(FaultySocket::new(socket, cfg, thread_idx as u32 + 1, 0))
 }
 
 /// Runs the load: partitions the mote army across `senders` threads,
@@ -495,7 +489,7 @@ fn sender_loop(
     params: &LoadParams,
     cfg: &ProtocolConfig,
 ) -> io::Result<(ThreadTally, Vec<Mote>)> {
-    let mut socket = LoadSocket::bind(thread_idx, params)?;
+    let mut socket = bind_sender(thread_idx, params)?;
     let mut tally = ThreadTally::default();
     if motes.is_empty() {
         return Ok((tally, motes));
@@ -535,14 +529,7 @@ fn sender_loop(
         if let Some(sched) = &params.epochs {
             mote.sync_epoch(sched, wall_us());
         }
-        let target = if params.sinks > 1 {
-            // Home-sink routing: the sink holding this mote's `Ki`.
-            params.targets[mote.id as usize % params.sinks]
-        } else {
-            let t = params.targets[target_idx % params.targets.len()];
-            target_idx += 1;
-            t
-        };
+        let target = home_target(params, mote.id, &mut target_idx);
         let reading = mote.next_reading(params.payload_bytes);
         match socket.send_to(&reading.frame, target) {
             Ok(_) => {
@@ -558,19 +545,7 @@ fn sender_loop(
                     }
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_micros(50));
-            }
-            Err(e) if is_transient_socket_error(&e) => {
-                // Absorb the error with bounded backoff and keep
-                // going; the reading is simply lost, like any other
-                // unacked fire-and-forget send.
-                tally.send_errors += 1;
-                tally.socket_retries += 1;
-                std::thread::sleep(transient_backoff(error_streak));
-                error_streak += 1;
-            }
-            Err(_) => tally.send_errors += 1,
+            Err(e) => absorb_send_error(&e, &mut error_streak, &mut tally),
         }
 
         // Drain replies periodically rather than per send.
@@ -641,7 +616,7 @@ fn sender_loop_arq(
     cfg: &ProtocolConfig,
     rc: &RetryConfig,
 ) -> io::Result<(ThreadTally, Vec<Mote>)> {
-    let mut socket = LoadSocket::bind(thread_idx, params)?;
+    let mut socket = bind_sender(thread_idx, params)?;
     let mut tally = ThreadTally::default();
     if motes.is_empty() {
         return Ok((tally, motes));
@@ -715,12 +690,8 @@ fn sender_loop_arq(
             let sp = routes[pos];
             let home = motes[pos].id as usize % params.sinks;
             (params.targets[chain_sink(home, sp, &orders)], sp)
-        } else if params.sinks > 1 {
-            (params.targets[motes[pos].id as usize % params.sinks], 0)
         } else {
-            let t = params.targets[target_idx % params.targets.len()];
-            target_idx += 1;
-            (t, 0)
+            (home_target(params, motes[pos].id, &mut target_idx), 0)
         };
         let reading = motes[pos].next_reading(params.payload_bytes);
         match socket.send_to(&reading.frame, target) {
@@ -744,20 +715,7 @@ fn sender_loop_arq(
                     },
                 );
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_micros(50));
-            }
-            Err(e) if is_transient_socket_error(&e) => {
-                // A daemon restart surfaces as an ECONNREFUSED burst
-                // on loopback; an interface flap as ENETUNREACH. Back
-                // off (bounded, exponential) and let ARQ re-send once
-                // the path is back.
-                tally.send_errors += 1;
-                tally.socket_retries += 1;
-                std::thread::sleep(transient_backoff(error_streak));
-                error_streak += 1;
-            }
-            Err(_) => tally.send_errors += 1,
+            Err(e) => absorb_send_error(&e, &mut error_streak, &mut tally),
         }
     }
     // Closing drain: keep retransmitting until the window empties or
@@ -805,7 +763,7 @@ fn sender_loop_arq(
 /// is the reading abandoned.
 #[allow(clippy::too_many_arguments)]
 fn retransmit_due(
-    socket: &mut LoadSocket,
+    socket: &mut FaultySocket,
     motes: &mut [Mote],
     params: &LoadParams,
     rc: &RetryConfig,
@@ -872,7 +830,7 @@ fn retransmit_due(
 /// entries are handed back.
 #[allow(clippy::too_many_arguments)]
 fn arq_drain(
-    socket: &mut LoadSocket,
+    socket: &mut FaultySocket,
     buf: &mut [u8],
     motes: &mut [Mote],
     params: &LoadParams,
@@ -904,7 +862,7 @@ fn arq_drain(
 
 /// Legacy drain: matches ACKs against the sampled-send map only.
 fn legacy_drain(
-    socket: &mut LoadSocket,
+    socket: &mut FaultySocket,
     buf: &mut [u8],
     motes: &mut [Mote],
     params: &LoadParams,
@@ -932,7 +890,7 @@ fn legacy_drain(
 /// to `on_ack`. Epoch sync runs before unwrapping so ACKs keep
 /// verifying across a refresh boundary.
 fn drain_acks(
-    socket: &mut LoadSocket,
+    socket: &mut FaultySocket,
     buf: &mut [u8],
     motes: &mut [Mote],
     params: &LoadParams,

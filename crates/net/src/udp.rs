@@ -18,9 +18,10 @@
 //! and — when enabled — the token-bucket/quarantine admission layer
 //! keyed by the claimed cluster id. Only admitted frames cross a
 //! bounded channel to a worker, so a flood is shed *before* any RC5 or
-//! HMAC work. Workers own independent [`BaseStation`] shards: frames
-//! are routed by `cid % W`, and cluster key sets are disjoint across
-//! shards, so nonce spaces never collide.
+//! HMAC work. Each worker owns a [`DurableShard`] (an independent
+//! [`BaseStation`] with its timers and WAL) and is only a socket loop
+//! around it: frames are routed by `cid % W`, and cluster key sets are
+//! disjoint across shards, so nonce spaces never collide.
 //!
 //! Workers learn return routes from traffic (`cid → last source
 //! address`) and route every outgoing frame by the cluster id in its
@@ -37,8 +38,7 @@
 use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
 use std::path::PathBuf;
@@ -51,22 +51,23 @@ use wsn_core::base_station::BaseStation;
 use wsn_core::config::{ProtocolConfig, ResourceConfig};
 use wsn_core::keys::Provisioner;
 use wsn_core::msg::{ClusterId, Message};
+use wsn_core::persist::BsSnapshot;
 use wsn_core::resource::{Admission, ResourceState};
-use wsn_core::transport::Transport;
 use wsn_crypto::Key128;
 use wsn_sim::event::SimTime;
-use wsn_sim::node::{NodeId, TimerKey};
+use wsn_sim::node::NodeId;
 use wsn_sim::radio::MAX_FRAME_BYTES;
 use wsn_sim::rng::derive_seed;
 use wsn_trace::{TraceEvent, TraceRecord, TraceSink};
 
-use crate::wal::StateStore;
+use crate::shard::{CtrlCmd, DurableShard, Now, Released};
+use crate::wal::{StateStore, Store};
 
 /// Microseconds since the UNIX epoch — the wall-clock realization of
 /// the simulator's virtual `SimTime`. Both `wsn-bs` and `motegen` stamp
 /// `τ` from this, so the freshness window works across processes. Used
-/// **only** for protocol timestamps; the worker timer wheels run on
-/// [`MonoClock`], which a wall-clock step cannot disturb.
+/// **only** for protocol timestamps; shard timers run on the monotonic
+/// half of [`Clock`], which a wall-clock step cannot disturb.
 pub fn wall_us() -> SimTime {
     SystemTime::now()
         .duration_since(UNIX_EPOCH)
@@ -74,23 +75,21 @@ pub fn wall_us() -> SimTime {
         .as_micros() as SimTime
 }
 
-/// Monotonic microseconds for the worker timer wheels. Timer deadlines
+/// The reactor's two clocks, read for every shard call. Timer deadlines
 /// must not jump with the wall clock (NTP steps, manual `date` sets):
-/// only `τ` stamping needs UNIX time, so the wheel measures elapsed
-/// time from a fixed [`Instant`] instead.
-struct MonoClock {
+/// only `τ` stamping needs UNIX time, so the monotonic half measures
+/// elapsed time from a fixed [`Instant`].
+#[derive(Clone, Copy)]
+struct Clock {
     epoch: Instant,
 }
 
-impl MonoClock {
-    fn new() -> MonoClock {
-        MonoClock {
-            epoch: Instant::now(),
+impl Clock {
+    fn now(&self) -> Now {
+        Now {
+            wall: wall_us(),
+            mono: self.epoch.elapsed().as_micros() as SimTime,
         }
-    }
-
-    fn now_us(&self) -> SimTime {
-        self.epoch.elapsed().as_micros() as SimTime
     }
 }
 
@@ -129,6 +128,10 @@ pub struct NetStats {
     pub wal_appends: AtomicU64,
     /// Compacting snapshots written.
     pub snapshots_written: AtomicU64,
+    /// Shards stopped by a storage error: a failed WAL append or
+    /// snapshot. A stopped shard releases no frame (so ACKs nothing) and
+    /// dispatches nothing more.
+    pub storage_failures: AtomicU64,
 }
 
 impl NetStats {
@@ -144,22 +147,30 @@ impl NetStats {
     }
 }
 
-/// Optional shared trace hookup: a sink behind a mutex plus a global
-/// sequence counter. Socket backends record coarse transport events
-/// (`DatagramRx`/`DatagramTx`/`SocketDrop`/`AdmissionReject`), not
-/// payloads — tracing a load test is possible but costs a lock per
-/// event, so it defaults off.
-struct SharedTrace {
+/// A trace sink shared by threads: the sink behind a mutex plus a
+/// global sequence counter. The socket reactor and the inter-sink control
+/// plane record coarse events (`DatagramRx`/`DatagramTx`/`SocketDrop`/
+/// `AdmissionReject`, WAL and failover events), not payloads. Tracing a
+/// load test costs a lock per event, so it defaults off.
+pub struct SharedTrace {
     sink: Mutex<Box<dyn TraceSink>>,
     seq: AtomicU64,
 }
 
 impl SharedTrace {
-    fn record(&self, node: NodeId, event: TraceEvent) {
+    pub fn new(sink: Box<dyn TraceSink>) -> Arc<SharedTrace> {
+        Arc::new(SharedTrace {
+            sink: Mutex::new(sink),
+            seq: AtomicU64::new(0),
+        })
+    }
+
+    /// Records `event` at `node`, stamped `at` (UNIX µs).
+    pub fn record(&self, at: SimTime, node: NodeId, event: TraceEvent) {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         let rec = TraceRecord {
             seq,
-            at: wall_us(),
+            at,
             node,
             event,
         };
@@ -213,8 +224,8 @@ pub struct UdpServerConfig {
     /// Durable state: `Some(dir)` opens one [`StateStore`] per worker
     /// shard under `dir` (restoring snapshot + WAL if present) and
     /// journals every key-state mutation through it, flushed **before**
-    /// the actions it gates are applied (WAL-before-ACK). `None` keeps
-    /// all state in memory.
+    /// the replies it gates are released (WAL-before-ACK, enforced by
+    /// [`DurableShard`]). `None` keeps all state in memory.
     pub state_dir: Option<PathBuf>,
     /// WAL size that triggers a compacting snapshot, per shard. `None`
     /// keeps the store's default (1 MiB); soaks force it low so a kill
@@ -301,55 +312,6 @@ fn set_rcvbuf(_socket: &UdpSocket, _bytes: usize) -> io::Result<usize> {
 /// source address it arrived from (the reply route).
 type Crossing = (Bytes, SocketAddr);
 
-/// A control-plane command injected into a worker shard, drained at the
-/// top of every worker-loop iteration. This is how the inter-sink
-/// control plane (`crate::intersink`) reaches the shard-owned
-/// [`BaseStation`]s: installs, two-phase handoff steps, and replicated
-/// revocation appends all land here and are journaled through the
-/// shard's WAL (`persist`) before any traffic depends on them.
-pub enum CtrlCmd {
-    /// Install a partition entry. `from_sink: Some(dead)` is a failover
-    /// takeover (journals [`wsn_core::persist::StateMutation::FailoverIn`]
-    /// with provenance); `None` is the receiving side of a two-phase
-    /// handoff (journals `RehomeIn`).
-    Install {
-        /// The entry (`Ki` + replay window) to install.
-        state: wsn_core::sink::SinkNodeState,
-        /// The sink the failure detector declared dead, for takeovers.
-        from_sink: Option<u32>,
-    },
-    /// Copy a node's partition entry without removing it (phase 0 of a
-    /// two-phase handoff). Replies `None` if this shard does not hold
-    /// the entry.
-    TakeCopy {
-        /// Node whose entry to copy.
-        node: u32,
-        /// Reply channel (capacity ≥ 1; the worker never blocks on it).
-        reply: SyncSender<Option<wsn_core::sink::SinkNodeState>>,
-    },
-    /// Journal the intent to hand `node` off to `to_sink` (phase 1).
-    NoteIntent {
-        /// Node being offered.
-        node: u32,
-        /// Destination sink.
-        to_sink: u32,
-    },
-    /// Retire a node's entry after the receiving sink acknowledged the
-    /// install (phase 2; journals `RehomeOut`).
-    Retire {
-        /// Node whose entry to drop.
-        node: u32,
-    },
-    /// Apply a replicated revocation append (single-writer at sink 0;
-    /// replicas receive it over the inter-sink protocol).
-    Revoke {
-        /// Cluster ids whose keys are deleted.
-        cids: Vec<ClusterId>,
-        /// Member node ids marked evicted.
-        nodes: Vec<u32>,
-    },
-}
-
 /// A running UDP base station: reader + worker threads behind shared
 /// stats and a shutdown flag.
 pub struct UdpServer {
@@ -377,12 +339,7 @@ impl UdpServer {
         assert!(config.readers >= 1 && config.workers >= 1);
         let stats = Arc::new(NetStats::default());
         let shutdown = Arc::new(AtomicBool::new(false));
-        let trace = trace.map(|sink| {
-            Arc::new(SharedTrace {
-                sink: Mutex::new(sink),
-                seq: AtomicU64::new(0),
-            })
-        });
+        let trace = trace.map(SharedTrace::new);
 
         // Key material: identical derivation to `Scenario::run`, so a
         // load generator sharing (seed, n) holds matching keys.
@@ -406,31 +363,65 @@ impl UdpServer {
             .map(|id| (id, provisioner.cluster_key_of(id)))
             .collect();
 
+        // Shards first, so a failed restore starts no thread. Km and the
+        // revocation chain are never persisted: they re-derive from the
+        // provisioning seed, and `from_snapshot` skips the chain forward
+        // to the snapshot's reveal position.
+        let clock = Clock {
+            epoch: Instant::now(),
+        };
+        let bs_id = config.sink_partition.map_or(0, |(sink, _)| sink);
+        let mut shards = Vec::with_capacity(config.workers);
+        for w in 0..config.workers {
+            let store = match &config.state_dir {
+                Some(dir) => {
+                    let (mut store, recovered) = StateStore::open(dir, w)?;
+                    if let Some(bytes) = config.snapshot_every_bytes {
+                        store.snapshot_every_bytes = bytes;
+                    }
+                    Some((Box::new(store) as Box<dyn Store>, recovered))
+                }
+                None => None,
+            };
+            let build = |snap: Option<BsSnapshot>| match snap {
+                Some(snap) => BaseStation::from_snapshot(
+                    config.cfg.clone(),
+                    provisioner.km(),
+                    provisioner.revocation_chain(),
+                    snap,
+                ),
+                None => BaseStation::new(
+                    config.cfg.clone(),
+                    bs_id,
+                    provisioner.km(),
+                    registry.clone(),
+                    cluster_keys.clone(),
+                    provisioner.revocation_chain(),
+                ),
+            };
+            let rng = StdRng::seed_from_u64(derive_seed(config.seed, 100 + w as u64));
+            let (stats, trace) = (Arc::clone(&stats), trace.clone());
+            shards.push(DurableShard::open(
+                build,
+                store,
+                rng,
+                stats,
+                trace,
+                clock.now(),
+            )?);
+        }
+
         // Worker channels and reader feedback channels.
-        let mut worker_txs: Vec<SyncSender<Crossing>> = Vec::with_capacity(config.workers);
-        let mut worker_rxs: Vec<Receiver<Crossing>> = Vec::with_capacity(config.workers);
-        for _ in 0..config.workers {
-            let (tx, rx) = mpsc::sync_channel::<Crossing>(config.queue_depth);
-            worker_txs.push(tx);
-            worker_rxs.push(rx);
-        }
-        let mut feedback_txs: Vec<mpsc::Sender<ClusterId>> = Vec::with_capacity(config.readers);
-        let mut feedback_rxs: Vec<Receiver<ClusterId>> = Vec::with_capacity(config.readers);
-        for _ in 0..config.readers {
-            let (tx, rx) = mpsc::channel::<ClusterId>();
-            feedback_txs.push(tx);
-            feedback_rxs.push(rx);
-        }
+        let (worker_txs, worker_rxs): (Vec<SyncSender<Crossing>>, Vec<_>) = (0..config.workers)
+            .map(|_| mpsc::sync_channel::<Crossing>(config.queue_depth))
+            .unzip();
+        let (feedback_txs, feedback_rxs): (Vec<mpsc::Sender<ClusterId>>, Vec<_>) =
+            (0..config.readers).map(|_| mpsc::channel()).unzip();
         // Control-plane injection: one unbounded channel per worker
         // shard, drained each worker-loop iteration. Idle when no
         // control plane is attached.
-        let mut ctrl_txs: Vec<mpsc::Sender<CtrlCmd>> = Vec::with_capacity(config.workers);
-        let mut ctrl_rxs: Vec<Receiver<CtrlCmd>> = Vec::with_capacity(config.workers);
-        for _ in 0..config.workers {
-            let (tx, rx) = mpsc::channel::<CtrlCmd>();
-            ctrl_txs.push(tx);
-            ctrl_rxs.push(rx);
-        }
+        let (ctrl_txs, ctrl_rxs): (Vec<mpsc::Sender<CtrlCmd>>, Vec<_>) =
+            (0..config.workers).map(|_| mpsc::channel()).unzip();
 
         let mut threads = Vec::with_capacity(config.readers + config.workers);
         let mut ports = Vec::with_capacity(config.readers);
@@ -471,90 +462,17 @@ impl UdpServer {
         // reader has exited.
         drop(worker_txs);
 
-        let bs_id = config.sink_partition.map_or(0, |(sink, _)| sink);
-        for ((w, rx), ctrl_rx) in worker_rxs.into_iter().enumerate().zip(ctrl_rxs) {
-            let mut bs = BaseStation::new(
-                config.cfg.clone(),
-                bs_id,
-                provisioner.km(),
-                registry.clone(),
-                cluster_keys.clone(),
-                provisioner.revocation_chain(),
-            );
-            // Durable shards: restore snapshot + WAL (if any), then
-            // journal everything from here on. Km and the revocation
-            // chain are never persisted — they re-derive from the
-            // provisioning seed, with the chain skipped forward to the
-            // snapshot's reveal position inside `from_snapshot`.
-            let mut store = None;
-            if let Some(dir) = &config.state_dir {
-                let (mut s, recovered) = StateStore::open(dir, w)?;
-                if let Some(bytes) = config.snapshot_every_bytes {
-                    s.snapshot_every_bytes = bytes;
-                }
-                let replayed = recovered.mutations.len() as u32;
-                let restarted = recovered.snapshot.is_some() || replayed > 0;
-                if let Some(snap) = recovered.snapshot {
-                    bs = BaseStation::from_snapshot(
-                        config.cfg.clone(),
-                        provisioner.km(),
-                        provisioner.revocation_chain(),
-                        snap,
-                    );
-                }
-                for m in &recovered.mutations {
-                    bs.apply_mutation(m);
-                }
-                // Compaction on restore: an oversized WAL that was
-                // replayed compacts *now* instead of waiting for the
-                // next write-path append — otherwise every restart of a
-                // quiet shard replays the same oversized log. Cut
-                // before the journal is re-enabled so the snapshot is
-                // exactly snapshot+WAL (catch-up rolls below land in
-                // the journal with higher LSNs and replay on top).
-                if replayed > 0 && s.wal_bytes() >= s.snapshot_every_bytes {
-                    let bytes = s.write_snapshot(&bs.snapshot())?;
-                    stats.snapshots_written.fetch_add(1, Ordering::Relaxed);
-                    if let Some(t) = &trace {
-                        t.record(
-                            bs_id,
-                            TraceEvent::SnapshotWritten {
-                                lsn: s.last_lsn(),
-                                bytes: bytes as u32,
-                            },
-                        );
-                    }
-                }
-                bs.enable_journal();
-                // Refresh epochs that elapsed while the daemon was down
-                // fired on every live node; catch the shard up to the
-                // shared absolute schedule before it sees traffic. The
-                // rolls are journaled, so the next crash replays them.
-                if config.cfg.auto_refresh_epochs > 0 {
-                    let boundary = wall_us().saturating_sub(config.cfg.erase_km_at)
-                        / config.cfg.auto_refresh_period;
-                    let expected = (boundary as u32).min(config.cfg.auto_refresh_epochs);
-                    while bs.epoch() < expected {
-                        bs.apply_hash_refresh();
-                    }
-                }
-                if restarted {
-                    if let Some(t) = &trace {
-                        t.record(bs_id, TraceEvent::BsRestart { replayed });
-                    }
-                }
-                store = Some(s);
-            }
-            let tx_socket = UdpSocket::bind((config.bind.as_str(), 0))?;
-            let stats = Arc::clone(&stats);
-            let shutdown = Arc::clone(&shutdown);
+        for ((shard, rx), ctrl_rx) in shards.into_iter().zip(worker_rxs).zip(ctrl_rxs) {
+            let out = Outlet {
+                socket: UdpSocket::bind((config.bind.as_str(), 0))?,
+                routes: HashMap::new(),
+                stats: Arc::clone(&stats),
+                trace: trace.clone(),
+            };
             let feedback = feedback_txs.clone();
-            let rng = StdRng::seed_from_u64(derive_seed(config.seed, 100 + w as u64));
-            let trace = trace.clone();
+            let shutdown = Arc::clone(&shutdown);
             threads.push(std::thread::spawn(move || {
-                worker_loop(
-                    bs, rng, rx, ctrl_rx, tx_socket, store, feedback, stats, shutdown, trace,
-                );
+                worker_loop(shard, rx, ctrl_rx, out, clock, feedback, shutdown);
             }));
         }
 
@@ -638,47 +556,39 @@ fn reader_loop(
                 admission.note_auth_failure(cfg, cid, wall_us());
             }
         }
-        let (len, addr) = match socket.recv_from(&mut buf) {
-            Ok(x) => x,
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
-            Err(_) => continue,
+        // Timeouts (the shutdown poll) and transient errors alike.
+        let Ok((len, addr)) = socket.recv_from(&mut buf) else {
+            continue;
         };
         stats.datagrams_rx.fetch_add(1, Ordering::Relaxed);
         if len > MAX_FRAME_BYTES {
             stats.oversize_drops.fetch_add(1, Ordering::Relaxed);
             if let Some(t) = &trace {
-                t.record(0, TraceEvent::SocketDrop { bytes: len as u32 });
+                t.record(wall_us(), 0, TraceEvent::SocketDrop { bytes: len as u32 });
             }
             continue;
         }
         let frame = &buf[..len];
         let shard = match Message::peek_wrapped(frame) {
             Some((cid, _, _)) => {
-                if let Some(cfg) = &admission_cfg {
-                    match admission.admit(cfg, cid, wall_us()) {
-                        Admission::Admit => {}
-                        Admission::Throttle => {
-                            stats.admission_rejects.fetch_add(1, Ordering::Relaxed);
-                            if let Some(t) = &trace {
-                                t.record(0, TraceEvent::AdmissionReject { cid });
-                            }
-                            continue;
-                        }
-                        Admission::Quarantined => {
-                            stats.quarantine_rejects.fetch_add(1, Ordering::Relaxed);
-                            if let Some(t) = &trace {
-                                t.record(0, TraceEvent::AdmissionReject { cid });
-                            }
-                            continue;
-                        }
+                let verdict = admission_cfg
+                    .as_ref()
+                    .map_or(Admission::Admit, |cfg| admission.admit(cfg, cid, wall_us()));
+                let shed = match verdict {
+                    Admission::Admit => None,
+                    Admission::Throttle => Some(&stats.admission_rejects),
+                    Admission::Quarantined => Some(&stats.quarantine_rejects),
+                };
+                if let Some(counter) = shed {
+                    counter.fetch_add(1, Ordering::Relaxed);
+                    if let Some(t) = &trace {
+                        t.record(wall_us(), 0, TraceEvent::AdmissionReject { cid });
                     }
+                    continue;
                 }
                 if let Some(t) = &trace {
                     t.record(
+                        wall_us(),
                         0,
                         TraceEvent::DatagramRx {
                             from: cid,
@@ -697,7 +607,7 @@ fn reader_loop(
             Err(TrySendError::Full(_)) => {
                 stats.queue_full_drops.fetch_add(1, Ordering::Relaxed);
                 if let Some(t) = &trace {
-                    t.record(0, TraceEvent::SocketDrop { bytes: len as u32 });
+                    t.record(wall_us(), 0, TraceEvent::SocketDrop { bytes: len as u32 });
                 }
             }
             Err(TrySendError::Disconnected(_)) => return,
@@ -705,391 +615,88 @@ fn reader_loop(
     }
 }
 
-/// Deferred actions queued by the shard through the [`Transport`] seam
-/// during one dispatch, applied after the hook returns (the simulator's
-/// discipline, kept so hook code observes identical semantics).
-enum UdpAction {
-    Out(Bytes),
-    SetTimer(TimerKey, SimTime),
-    CancelTimer(TimerKey),
-}
-
-/// The [`Transport`] a worker hands its base-station shard.
-struct UdpCtx<'a> {
-    now: SimTime,
-    rng: &'a mut StdRng,
-    actions: &'a mut Vec<UdpAction>,
-}
-
-impl Transport for UdpCtx<'_> {
-    fn id(&self) -> NodeId {
-        0
-    }
-
-    fn now(&self) -> SimTime {
-        self.now
-    }
-
-    fn rng(&mut self) -> &mut StdRng {
-        self.rng
-    }
-
-    fn broadcast(&mut self, payload: Bytes) {
-        self.actions.push(UdpAction::Out(payload));
-    }
-
-    fn send(&mut self, _to: NodeId, payload: Bytes) {
-        // One socket datagram either way: the unicast/broadcast split is
-        // a radio concern; routing happens by the frame's cluster id.
-        self.actions.push(UdpAction::Out(payload));
-    }
-
-    fn set_timer(&mut self, key: TimerKey, delay: SimTime) {
-        self.actions.push(UdpAction::SetTimer(key, delay));
-    }
-
-    fn cancel_timer(&mut self, key: TimerKey) {
-        self.actions.push(UdpAction::CancelTimer(key));
-    }
-}
-
-/// Snapshot of the reject counters a shard exposes, used to mirror
-/// per-dispatch deltas into the shared stats.
-#[derive(Clone, Copy, Default)]
-struct RejectSnapshot {
-    bad_auth: u64,
-    stale: u64,
-    malformed: u64,
-    unknown_cluster: u64,
-    counter_rejects: u64,
-    duplicates: u64,
-}
-
-impl RejectSnapshot {
-    fn of(bs: &BaseStation) -> RejectSnapshot {
-        RejectSnapshot {
-            bad_auth: bs.drops.bad_auth,
-            stale: bs.drops.stale,
-            malformed: bs.drops.malformed,
-            unknown_cluster: bs.drops.unknown_cluster,
-            counter_rejects: bs.counter_rejects,
-            duplicates: bs.duplicates,
-        }
-    }
-}
-
-/// Everything a worker owns besides its base-station shard: timer
-/// wheel, return routes, tx socket, and the plumbing to the rest of the
-/// reactor.
-struct WorkerState {
-    routes: HashMap<ClusterId, SocketAddr>,
-    timer_heap: BinaryHeap<Reverse<(SimTime, u64, TimerKey)>>,
-    timers: HashMap<TimerKey, u64>,
-    timer_gen: u64,
-    actions: Vec<UdpAction>,
+/// A worker's sending half: its tx socket and the return routes learned
+/// from traffic (`cid → last source address`).
+struct Outlet {
     socket: UdpSocket,
-    /// Monotonic base for the timer wheel; all heap deadlines are on
-    /// this clock, never on the (steppable) wall clock.
-    clock: MonoClock,
-    store: Option<StateStore>,
+    routes: HashMap<ClusterId, SocketAddr>,
     stats: Arc<NetStats>,
     trace: Option<Arc<SharedTrace>>,
 }
 
-impl WorkerState {
-    /// WAL-before-ACK: drains the shard's journal and flushes it to the
-    /// log. Must run after a dispatch but **before** [`Self::apply_actions`]
-    /// releases the replies that acknowledge the journaled state.
-    ///
-    /// A storage error downgrades the shard to in-memory operation (with
-    /// a stderr notice) rather than taking the reactor down: the daemon
-    /// keeps serving, and the operator sees recovery is no longer
-    /// guaranteed.
-    fn persist(&mut self, bs: &mut BaseStation) {
-        let Some(store) = self.store.as_mut() else {
-            return;
-        };
-        let batch = bs.drain_journal();
-        if batch.is_empty() {
-            return;
-        }
-        match store.append(&batch) {
-            Ok(bytes) => {
-                self.stats.wal_appends.fetch_add(1, Ordering::Relaxed);
+impl Outlet {
+    /// Sends what a shard released. Each frame is routed by the cluster
+    /// id in its header, falling back to the address of the frame being
+    /// answered.
+    fn send(&self, released: &Released, reply_to: Option<SocketAddr>) {
+        for frame in released.frames() {
+            if frame.len() > MAX_FRAME_BYTES {
+                self.stats.oversize_drops.fetch_add(1, Ordering::Relaxed);
+                continue;
+            }
+            let dest = Message::peek_wrapped(frame)
+                .and_then(|(cid, _, _)| self.routes.get(&cid).copied())
+                .or(reply_to);
+            let Some(addr) = dest else {
+                self.stats.unroutable.fetch_add(1, Ordering::Relaxed);
+                continue;
+            };
+            if self.socket.send_to(frame, addr).is_ok() {
+                self.stats.datagrams_tx.fetch_add(1, Ordering::Relaxed);
                 if let Some(t) = &self.trace {
-                    t.record(
-                        0,
-                        TraceEvent::WalAppend {
-                            records: batch.len() as u32,
-                            bytes: bytes as u32,
-                        },
-                    );
-                }
-            }
-            Err(e) => {
-                eprintln!("wsn-net: WAL append failed, shard now in-memory only: {e}");
-                self.store = None;
-                return;
-            }
-        }
-        match store.maybe_snapshot(|| bs.snapshot()) {
-            Ok(Some(bytes)) => {
-                self.stats.snapshots_written.fetch_add(1, Ordering::Relaxed);
-                let lsn = store.last_lsn();
-                if let Some(t) = &self.trace {
-                    t.record(
-                        0,
-                        TraceEvent::SnapshotWritten {
-                            lsn,
-                            bytes: bytes as u32,
-                        },
-                    );
-                }
-            }
-            Ok(None) => {}
-            Err(e) => {
-                eprintln!("wsn-net: snapshot failed, shard now in-memory only: {e}");
-                self.store = None;
-            }
-        }
-    }
-    /// Applies one dispatch's deferred actions: outgoing frames are
-    /// routed by the cluster id in their header (fallback: the address
-    /// the frame being answered came from); timers go on the wheel.
-    fn apply_actions(&mut self, reply_to: Option<SocketAddr>) {
-        for action in std::mem::take(&mut self.actions) {
-            match action {
-                UdpAction::Out(frame) => {
-                    if frame.len() > MAX_FRAME_BYTES {
-                        self.stats.oversize_drops.fetch_add(1, Ordering::Relaxed);
-                        continue;
-                    }
-                    let dest = Message::peek_wrapped(&frame)
-                        .and_then(|(cid, _, _)| self.routes.get(&cid).copied())
-                        .or(reply_to);
-                    match dest {
-                        Some(addr) => {
-                            if self.socket.send_to(&frame, addr).is_ok() {
-                                self.stats.datagrams_tx.fetch_add(1, Ordering::Relaxed);
-                                if let Some(t) = &self.trace {
-                                    t.record(
-                                        0,
-                                        TraceEvent::DatagramTx {
-                                            bytes: frame.len() as u32,
-                                        },
-                                    );
-                                }
-                            }
-                        }
-                        None => {
-                            self.stats.unroutable.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                }
-                UdpAction::SetTimer(key, delay) => {
-                    self.timer_gen += 1;
-                    self.timers.insert(key, self.timer_gen);
-                    self.timer_heap.push(Reverse((
-                        self.clock.now_us() + delay,
-                        self.timer_gen,
-                        key,
-                    )));
-                }
-                UdpAction::CancelTimer(key) => {
-                    self.timers.remove(&key);
+                    let bytes = frame.len() as u32;
+                    t.record(wall_us(), 0, TraceEvent::DatagramTx { bytes });
                 }
             }
         }
     }
 }
 
-/// One worker thread: owns a base-station shard, a wall-clock timer
-/// wheel, and the learned return-route table.
-#[allow(clippy::too_many_arguments)]
+/// Longest a worker blocks on its queue before re-checking control
+/// commands, timers and shutdown.
+const POLL_US: SimTime = 50_000;
+
+/// One worker thread: a socket loop around a [`DurableShard`]. It drains
+/// control commands, waits for a frame or the shard's next deadline,
+/// learns the frame's return route, and sends what the shard released.
 fn worker_loop(
-    mut bs: BaseStation,
-    mut rng: StdRng,
+    mut shard: DurableShard,
     rx: Receiver<Crossing>,
     ctrl: Receiver<CtrlCmd>,
-    socket: UdpSocket,
-    store: Option<StateStore>,
+    mut out: Outlet,
+    clock: Clock,
     feedback: Vec<mpsc::Sender<ClusterId>>,
-    stats: Arc<NetStats>,
     shutdown: Arc<AtomicBool>,
-    trace: Option<Arc<SharedTrace>>,
 ) {
-    let mut st = WorkerState {
-        routes: HashMap::new(),
-        timer_heap: BinaryHeap::new(),
-        timers: HashMap::new(),
-        timer_gen: 0,
-        actions: Vec::with_capacity(8),
-        socket,
-        clock: MonoClock::new(),
-        store,
-        stats: Arc::clone(&stats),
-        trace,
-    };
-    let mut snap = RejectSnapshot::of(&bs);
-
-    // Run the start hook: with no routes yet its link advert is
-    // unroutable, but timers (advert jitter, revocation schedules) arm
-    // exactly as on the simulator.
-    {
-        let mut ctx = UdpCtx {
-            now: wall_us(),
-            rng: &mut rng,
-            actions: &mut st.actions,
-        };
-        bs.dispatch_start(&mut ctx);
-    }
-    // Also flushes anything restore-time catch-up journaled at spawn.
-    st.persist(&mut bs);
-    st.apply_actions(None);
-
+    // With no routes yet the start hook's link advert is unroutable, but
+    // its timers arm exactly as on the simulator.
+    out.send(&shard.on_start(clock.now()), None);
     while !shutdown.load(Ordering::Relaxed) {
-        // Control-plane commands first: an install must be journaled
-        // and live before the re-homed mote's next frame is dispatched.
+        // Control commands first: an install must be journaled and live
+        // before the re-homed mote's next frame is dispatched.
         while let Ok(cmd) = ctrl.try_recv() {
-            match cmd {
-                CtrlCmd::Install { state, from_sink } => {
-                    match from_sink {
-                        Some(dead) => bs.install_failover_state(state, dead),
-                        None => bs.install_node_state(state),
-                    }
-                    // WAL-journaled handoff: the entry is durable before
-                    // any traffic is served under it, so a takeover that
-                    // crashes replays its installs.
-                    st.persist(&mut bs);
-                }
-                CtrlCmd::TakeCopy { node, reply } => {
-                    let _ = reply.try_send(bs.copy_node_state(node));
-                }
-                CtrlCmd::NoteIntent { node, to_sink } => {
-                    bs.note_handoff_intent(node, to_sink);
-                    st.persist(&mut bs);
-                }
-                CtrlCmd::Retire { node } => {
-                    let _ = bs.take_node_state(node);
-                    st.persist(&mut bs);
-                }
-                CtrlCmd::Revoke { cids, nodes } => {
-                    bs.queue_revocation(cids, nodes);
-                    st.persist(&mut bs);
-                }
-            }
+            out.send(&shard.on_control(cmd, clock.now()), None);
         }
-        // Sleep until the next timer or the poll ceiling.
-        let now = st.clock.now_us();
-        let wait_us = st
-            .timer_heap
-            .peek()
-            .map(|Reverse((at, _, _))| at.saturating_sub(now))
-            .unwrap_or(50_000)
-            .min(50_000);
-        let incoming = match rx.recv_timeout(Duration::from_micros(wait_us.max(1))) {
-            Ok(x) => Some(x),
-            Err(RecvTimeoutError::Timeout) => None,
-            Err(RecvTimeoutError::Disconnected) => break,
-        };
-
-        if let Some((frame, from_addr)) = incoming {
-            let now = wall_us();
-            // Learn/refresh the return route before dispatch so the
-            // shard's reply to this very frame is routable.
-            let peeked_cid = Message::peek_wrapped(&frame).map(|(cid, _, _)| cid);
-            if let Some(cid) = peeked_cid {
-                st.routes.insert(cid, from_addr);
-            }
-            let received_before = bs.received.len();
-            {
-                let mut ctx = UdpCtx {
-                    now,
-                    rng: &mut rng,
-                    actions: &mut st.actions,
-                };
-                bs.dispatch_message(&mut ctx, &frame);
-            }
-            // WAL-before-ACK: the mutations this frame caused hit the
-            // log before the reply (its acknowledgment) can leave.
-            st.persist(&mut bs);
-            st.apply_actions(Some(from_addr));
-
-            // Mirror what this dispatch changed into the shared stats,
-            // and feed MAC failures back to the admission layer.
-            let accepted = (bs.received.len() - received_before) as u64;
-            if accepted > 0 {
-                stats
-                    .readings_accepted
-                    .fetch_add(accepted, Ordering::Relaxed);
-                // Keep shard memory flat under sustained load: the
-                // log's content has been counted; only tests inspect
-                // it, and they run on the simulator.
-                bs.received.clear();
-            }
-            let after = RejectSnapshot::of(&bs);
-            if after.bad_auth > snap.bad_auth {
-                stats
-                    .bad_auth
-                    .fetch_add(after.bad_auth - snap.bad_auth, Ordering::Relaxed);
-                if let Some(cid) = peeked_cid {
+        let wait_us = shard
+            .next_deadline()
+            .map_or(POLL_US, |at| at.saturating_sub(clock.now().mono))
+            .clamp(1, POLL_US);
+        match rx.recv_timeout(Duration::from_micros(wait_us)) {
+            Ok((frame, from)) => {
+                if let Some((cid, _, _)) = Message::peek_wrapped(&frame) {
+                    out.routes.insert(cid, from);
+                }
+                let (released, bad_auth) = shard.on_datagram(&frame, clock.now());
+                if let Some(cid) = bad_auth {
                     for f in &feedback {
                         let _ = f.send(cid);
                     }
                 }
+                out.send(&released, Some(from));
             }
-            if after.stale > snap.stale {
-                stats
-                    .stale
-                    .fetch_add(after.stale - snap.stale, Ordering::Relaxed);
-            }
-            if after.malformed > snap.malformed {
-                stats
-                    .malformed
-                    .fetch_add(after.malformed - snap.malformed, Ordering::Relaxed);
-            }
-            if after.unknown_cluster > snap.unknown_cluster {
-                stats.unknown_cluster.fetch_add(
-                    after.unknown_cluster - snap.unknown_cluster,
-                    Ordering::Relaxed,
-                );
-            }
-            if after.counter_rejects > snap.counter_rejects {
-                stats.counter_rejects.fetch_add(
-                    after.counter_rejects - snap.counter_rejects,
-                    Ordering::Relaxed,
-                );
-            }
-            if after.duplicates > snap.duplicates {
-                stats
-                    .duplicates
-                    .fetch_add(after.duplicates - snap.duplicates, Ordering::Relaxed);
-            }
-            snap = after;
+            Err(RecvTimeoutError::Timeout) => {}
+            Err(RecvTimeoutError::Disconnected) => break,
         }
-
-        // Fire due timers (superseded generations are skipped). The
-        // heap holds monotonic deadlines; the dispatch still sees the
-        // wall clock, which stamps `τ`.
-        let mono_now = st.clock.now_us();
-        while let Some(&Reverse((at, gen, key))) = st.timer_heap.peek() {
-            if at > mono_now {
-                break;
-            }
-            st.timer_heap.pop();
-            if st.timers.get(&key) == Some(&gen) {
-                st.timers.remove(&key);
-                {
-                    let mut ctx = UdpCtx {
-                        now: wall_us(),
-                        rng: &mut rng,
-                        actions: &mut st.actions,
-                    };
-                    bs.dispatch_timer(&mut ctx, key);
-                }
-                st.persist(&mut bs);
-                st.apply_actions(None);
-            }
-        }
+        out.send(&shard.on_tick(clock.now()), None);
     }
 }

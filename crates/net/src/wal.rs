@@ -40,8 +40,9 @@
 //! snapshot is written to a temp file, fsynced, then atomically renamed
 //! over the old one before the log is truncated.
 
+use std::collections::BTreeSet;
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, BufWriter, Write};
+use std::io::{self, BufWriter, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use wsn_core::persist::{BsSnapshot, StateMutation};
@@ -118,7 +119,7 @@ fn parse_record(buf: &[u8]) -> Option<(u64, &[u8], usize)> {
     Some((lsn, &body[8..], total))
 }
 
-/// Everything [`StateStore::recover`] found on disk.
+/// Everything [`recover`] found on disk.
 #[derive(Debug, Default)]
 pub struct Recovered {
     /// The snapshot, if a valid one exists.
@@ -128,6 +129,50 @@ pub struct Recovered {
     /// Log records discarded as torn/corrupt (tail) or stale (LSN at or
     /// below the snapshot's).
     pub discarded: u64,
+    /// Length of the log's longest valid prefix: where appends resume.
+    pub wal_bytes: u64,
+    /// LSN of the last valid record, the snapshot's included (0 if none).
+    pub last_lsn: u64,
+}
+
+fn snap_path(dir: &Path, shard: usize) -> PathBuf {
+    dir.join(format!("shard-{shard}.snap"))
+}
+
+fn wal_path(dir: &Path, shard: usize) -> PathBuf {
+    dir.join(format!("shard-{shard}.wal"))
+}
+
+/// Reads worker shard `shard`'s snapshot and log under `dir` without
+/// changing anything on disk. A missing or unreadable file recovers as
+/// empty.
+pub fn recover(dir: &Path, shard: usize) -> Recovered {
+    let mut recovered = Recovered::default();
+    if let Ok(bytes) = fs::read(snap_path(dir, shard)) {
+        match decode_snapshot_file(&bytes) {
+            Some((lsn, snap)) => {
+                recovered.last_lsn = lsn;
+                recovered.snapshot = Some(snap);
+            }
+            None => recovered.discarded += !bytes.is_empty() as u64,
+        }
+    }
+    let snap_lsn = recovered.last_lsn;
+    if let Ok(bytes) = fs::read(wal_path(dir, shard)) {
+        let (records, consumed) = read_wal(&bytes);
+        recovered.discarded += (consumed < bytes.len()) as u64;
+        for (lsn, m) in records {
+            match m {
+                Some(m) if lsn > snap_lsn => recovered.mutations.push(m),
+                // Undecodable, or compacted before a crash but not yet
+                // truncated: already inside the snapshot.
+                _ => recovered.discarded += 1,
+            }
+            recovered.last_lsn = recovered.last_lsn.max(lsn);
+        }
+        recovered.wal_bytes = consumed as u64;
+    }
+    recovered
 }
 
 /// One worker shard's durable state: `shard-N.snap` + `shard-N.wal`.
@@ -139,7 +184,7 @@ pub struct StateStore {
     next_lsn: u64,
     /// Bytes appended to the log since the last snapshot.
     wal_bytes: u64,
-    /// Log size that triggers [`StateStore::maybe_snapshot`].
+    /// Log size that triggers a compacting snapshot.
     pub snapshot_every_bytes: u64,
     scratch: Vec<u8>,
 }
@@ -154,66 +199,28 @@ impl StateStore {
     /// appends.
     pub fn open(dir: &Path, shard: usize) -> io::Result<(StateStore, Recovered)> {
         fs::create_dir_all(dir)?;
-        let snap_path = dir.join(format!("shard-{shard}.snap"));
-        let wal_path = dir.join(format!("shard-{shard}.wal"));
-
-        let mut recovered = Recovered::default();
-        let mut snap_lsn = 0u64;
-        if let Ok(bytes) = fs::read(&snap_path) {
-            if let Some((lsn, snap)) = decode_snapshot_file(&bytes) {
-                snap_lsn = lsn;
-                recovered.snapshot = Some(snap);
-            } else if !bytes.is_empty() {
-                recovered.discarded += 1;
-            }
-        }
-
-        let mut next_lsn = snap_lsn + 1;
-        let mut valid_bytes = 0u64;
-        if let Ok(bytes) = fs::read(&wal_path) {
-            let (records, consumed) = read_wal(&bytes);
-            recovered.discarded += if consumed < bytes.len() { 1 } else { 0 };
-            for (lsn, m) in records {
-                if lsn <= snap_lsn {
-                    // Compacted before the crash but not yet truncated:
-                    // already inside the snapshot.
-                    recovered.discarded += 1;
-                } else {
-                    match m {
-                        Some(m) => recovered.mutations.push(m),
-                        None => recovered.discarded += 1,
-                    }
-                }
-                next_lsn = next_lsn.max(lsn + 1);
-            }
-            valid_bytes = consumed as u64;
-        }
-
+        let recovered = recover(dir, shard);
+        let wal_path = wal_path(dir, shard);
         // Truncate any torn tail so the append cursor lands on clean
         // framing.
-        use std::io::{Seek, SeekFrom};
         let mut file = OpenOptions::new()
             .create(true)
             .truncate(false)
             .read(true)
             .write(true)
             .open(&wal_path)?;
-        file.set_len(valid_bytes)?;
-        file.seek(SeekFrom::Start(valid_bytes))?;
-        let wal = BufWriter::new(file);
-
-        Ok((
-            StateStore {
-                snap_path,
-                wal_path,
-                wal,
-                next_lsn,
-                wal_bytes: valid_bytes,
-                snapshot_every_bytes: DEFAULT_SNAPSHOT_EVERY_BYTES,
-                scratch: Vec::new(),
-            },
-            recovered,
-        ))
+        file.set_len(recovered.wal_bytes)?;
+        file.seek(SeekFrom::Start(recovered.wal_bytes))?;
+        let store = StateStore {
+            snap_path: snap_path(dir, shard),
+            wal_path,
+            wal: BufWriter::new(file),
+            next_lsn: recovered.last_lsn + 1,
+            wal_bytes: recovered.wal_bytes,
+            snapshot_every_bytes: DEFAULT_SNAPSHOT_EVERY_BYTES,
+            scratch: Vec::new(),
+        };
+        Ok((store, recovered))
     }
 
     /// Appends a batch of mutations and flushes to the OS. Returns the
@@ -239,24 +246,9 @@ impl StateStore {
         Ok(n)
     }
 
-    /// LSN of the last record appended (0 if none yet).
-    pub fn last_lsn(&self) -> u64 {
-        self.next_lsn - 1
-    }
-
     /// Bytes in the log since the last snapshot.
     pub fn wal_bytes(&self) -> u64 {
         self.wal_bytes
-    }
-
-    /// Writes a compacting snapshot if the log has outgrown
-    /// [`Self::snapshot_every_bytes`]. Returns the encoded snapshot size
-    /// when one was cut.
-    pub fn maybe_snapshot(&mut self, snap: impl FnOnce() -> BsSnapshot) -> io::Result<Option<u64>> {
-        if self.wal_bytes < self.snapshot_every_bytes {
-            return Ok(None);
-        }
-        self.write_snapshot(&snap()).map(Some)
     }
 
     /// Unconditionally writes a snapshot covering everything appended so
@@ -265,7 +257,7 @@ impl StateStore {
     /// recovery skips log records the snapshot already covers, so a crash
     /// at any point in between loses nothing and double-applies nothing.
     pub fn write_snapshot(&mut self, snap: &BsSnapshot) -> io::Result<u64> {
-        let lsn = self.last_lsn();
+        let lsn = self.next_lsn - 1;
         let payload = snap.encode();
         let mut out = Vec::with_capacity(SNAP_MAGIC.len() + RECORD_HEADER + payload.len());
         out.extend_from_slice(SNAP_MAGIC);
@@ -288,6 +280,39 @@ impl StateStore {
         self.wal = BufWriter::new(file);
         self.wal_bytes = 0;
         Ok(payload.len() as u64)
+    }
+}
+
+/// Where a base-station shard journals its key-state mutations
+/// (`crate::shard`): a write-ahead log with compacting snapshots.
+pub trait Store: Send {
+    /// Appends one journal batch, flushed to the OS before returning.
+    /// Returns the bytes written.
+    fn append(&mut self, batch: &[StateMutation]) -> io::Result<u64>;
+    /// Whether the log has outgrown its compaction threshold.
+    fn snapshot_due(&self) -> bool;
+    /// Writes a snapshot covering every append so far and truncates the
+    /// log. Returns the encoded snapshot size.
+    fn write_snapshot(&mut self, snap: &BsSnapshot) -> io::Result<u64>;
+    /// LSN of the last record appended (0 if none yet).
+    fn last_lsn(&self) -> u64;
+}
+
+impl Store for StateStore {
+    fn append(&mut self, batch: &[StateMutation]) -> io::Result<u64> {
+        StateStore::append(self, batch)
+    }
+
+    fn snapshot_due(&self) -> bool {
+        self.wal_bytes >= self.snapshot_every_bytes
+    }
+
+    fn last_lsn(&self) -> u64 {
+        self.next_lsn - 1
+    }
+
+    fn write_snapshot(&mut self, snap: &BsSnapshot) -> io::Result<u64> {
+        StateStore::write_snapshot(self, snap)
     }
 }
 
@@ -321,43 +346,31 @@ pub fn decode_snapshot_file(bytes: &[u8]) -> Option<(u64, BsSnapshot)> {
 /// Reads the registry ids a state dir currently holds across every
 /// shard — the crash-soak's "zero key-entry loss" oracle.
 pub fn registry_ids(dir: &Path, shards: usize) -> io::Result<Vec<u32>> {
-    let mut ids = Vec::new();
+    let mut ids = BTreeSet::new();
     for shard in 0..shards {
-        let snap_path = dir.join(format!("shard-{shard}.snap"));
-        let mut snap_lsn = 0u64;
-        let mut present: std::collections::BTreeSet<u32> = Default::default();
-        if let Ok(bytes) = fs::read(&snap_path) {
-            if let Some((lsn, snap)) = decode_snapshot_file(&bytes) {
-                snap_lsn = lsn;
-                present = snap.registry.iter().map(|(id, _)| *id).collect();
-            }
-        }
-        if let Ok(bytes) = fs::read(dir.join(format!("shard-{shard}.wal"))) {
-            let (records, _) = read_wal(&bytes);
-            for (lsn, m) in records {
-                if lsn <= snap_lsn {
-                    continue; // already inside the snapshot
+        let recovered = recover(dir, shard);
+        let mut present: BTreeSet<u32> = recovered
+            .snapshot
+            .iter()
+            .flat_map(|snap| snap.registry.iter().map(|(id, _)| *id))
+            .collect();
+        for m in &recovered.mutations {
+            match *m {
+                StateMutation::Join { id, .. } => {
+                    present.insert(id);
                 }
-                match m {
-                    Some(StateMutation::Join { id, .. }) => {
-                        present.insert(id);
-                    }
-                    Some(StateMutation::RehomeIn { node, .. })
-                    | Some(StateMutation::FailoverIn { node, .. }) => {
-                        present.insert(node);
-                    }
-                    Some(StateMutation::RehomeOut { node }) => {
-                        present.remove(&node);
-                    }
-                    _ => {}
+                StateMutation::RehomeIn { node, .. } | StateMutation::FailoverIn { node, .. } => {
+                    present.insert(node);
                 }
+                StateMutation::RehomeOut { node } => {
+                    present.remove(&node);
+                }
+                _ => {}
             }
         }
         ids.extend(present);
     }
-    ids.sort_unstable();
-    ids.dedup();
-    Ok(ids)
+    Ok(ids.into_iter().collect())
 }
 
 #[cfg(test)]

@@ -4,7 +4,8 @@
 
 use std::time::Duration;
 use wsn_core::config::{CounterMode, ProtocolConfig, RecoveryConfig};
-use wsn_net::load::{self, LoadParams};
+use wsn_net::load::{self, EpochSchedule, LoadParams};
+use wsn_net::udp::wall_us;
 use wsn_net::{UdpServer, UdpServerConfig};
 use wsn_trace::JsonlSink;
 
@@ -78,4 +79,68 @@ fn udp_end_to_end_smoke() {
     let _ = std::fs::remove_file(&trace_path);
     assert!(jsonl.contains("\"datagram_rx\""), "no DatagramRx traced");
     assert!(jsonl.contains("\"datagram_tx\""), "no DatagramTx traced");
+}
+
+/// A server started 2.5 refresh periods after the schedule's genesis,
+/// with no state directory, must roll its cluster keys to the epoch every
+/// mote is already in (epoch 2) before it serves: otherwise it rejects
+/// every reading as a bad MAC.
+#[test]
+fn in_memory_server_catches_up_refresh_epochs() {
+    let motes = 200usize;
+    let seed = 2005u64;
+    let period_us = 20_000_000;
+    let genesis_us = wall_us() - 5 * period_us / 2;
+    let mut cfg = ProtocolConfig::default()
+        .with_recovery(RecoveryConfig::default())
+        .with_counter_mode(CounterMode::Explicit);
+    cfg.erase_km_at = genesis_us;
+    let cfg = cfg.with_auto_refresh(5, period_us);
+
+    let server_cfg = UdpServerConfig::localhost(0, motes + 1, seed, cfg);
+    assert!(server_cfg.state_dir.is_none());
+    let server = UdpServer::spawn(server_cfg).expect("server spawn");
+    let targets = server
+        .ports()
+        .iter()
+        .map(|p| format!("127.0.0.1:{p}").parse().unwrap())
+        .collect();
+    let report = load::run(
+        &LoadParams {
+            motes,
+            seed,
+            targets,
+            senders: 1,
+            duration: Duration::from_secs(1),
+            payload_bytes: 24,
+            rate: Some(2_000),
+            latency_sample: 0,
+            sinks: 1,
+            retry: None,
+            faults: None,
+            epochs: Some(EpochSchedule {
+                genesis_us,
+                period_us,
+                max_epochs: 5,
+            }),
+            failover: false,
+        },
+        load::provision_motes(motes, seed),
+    )
+    .expect("load run");
+    let stats = server.stats().clone();
+    server.shutdown();
+
+    let accepted = stats
+        .readings_accepted
+        .load(std::sync::atomic::Ordering::Relaxed);
+    let bad_auth = stats.bad_auth.load(std::sync::atomic::Ordering::Relaxed);
+    assert!(report.sent > 0, "nothing sent");
+    assert_eq!(
+        bad_auth, 0,
+        "{bad_auth} of {} readings failed auth",
+        report.sent
+    );
+    assert!(accepted > 0, "server accepted nothing");
+    assert_eq!(stats.protocol_errors(), 0);
 }
