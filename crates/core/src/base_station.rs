@@ -19,8 +19,9 @@ use crate::msg::{ClusterId, DataUnit, Inner, Message};
 use crate::node::DropCounts;
 use crate::persist::{BsSnapshot, StateMutation, SEQ_RESERVE_STRIDE};
 use crate::refresh;
-use crate::routing::Gradient;
+use crate::routing::Route;
 use crate::transport::Transport;
+use bytes::Bytes;
 use rand::Rng;
 use std::collections::HashMap;
 use wsn_crypto::keychain::KeyChain;
@@ -425,14 +426,17 @@ impl BaseStation {
         );
         match result {
             Ok(u) => match u.inner {
-                Inner::Data(unit) => {
+                // Addressed to another sink: overheard in passing, that
+                // sink (or a node nearer to it) handles it — not a drop.
+                Inner::SinkData { sink, .. } if !self.cfg.sinks.enabled || sink != self.id => {}
+                Inner::Data(unit) | Inner::SinkData { unit, .. } => {
                     if self.cfg.recovery.enabled {
                         // ACK *every* successfully unwrapped Data frame —
                         // duplicates and counter replays included — under
                         // the key it arrived under: honest forwarders must
                         // stop retransmitting regardless of what end-to-end
                         // validation decides.
-                        self.send_ack(ctx, cid, &key, unit.dedup_key());
+                        self.send_ack(ctx, cid, key, unit.dedup_key());
                     }
                     self.accept_data(unit);
                 }
@@ -445,29 +449,10 @@ impl BaseStation {
                         // The gradient root itself is always a viable next
                         // hop: answer with a hops-0 beacon under the
                         // requester's cluster key.
-                        let seq = self.next_seq();
-                        let frame = wrap_frame(
-                            self.sealers.get(&key),
-                            cid,
-                            self.id,
-                            seq,
-                            ctx.now(),
-                            Gradient::at(0).hops(),
-                            &Inner::Beacon,
-                        );
+                        let frame = self.seal(cid, key, ctx.now(), &Inner::Beacon);
                         ctx.broadcast(frame);
                         self.last_route_reply = Some(ctx.now());
                     }
-                }
-                Inner::SinkData { sink, unit } => {
-                    if self.cfg.sinks.enabled && sink == self.id {
-                        if self.cfg.recovery.enabled {
-                            self.send_ack(ctx, cid, &key, unit.dedup_key());
-                        }
-                        self.accept_data(unit);
-                    }
-                    // Addressed to another sink: overheard in passing, that
-                    // sink (or a node nearer to it) handles it — not a drop.
                 }
                 // The BS is the gradient root; beacons (its own or a peer
                 // sink's), refresh HELLOs, heartbeats, failover
@@ -489,18 +474,17 @@ impl BaseStation {
 
     /// Emits a hop-by-hop ACK under the key the acknowledged frame arrived
     /// under (recovery layer).
-    fn send_ack(&mut self, ctx: &mut impl Transport, cid: ClusterId, key: &Key128, ack_key: u64) {
-        let seq = self.next_seq();
-        let frame = wrap_frame(
-            self.sealers.get(key),
-            cid,
-            self.id,
-            seq,
-            ctx.now(),
-            Gradient::at(0).hops(),
-            &Inner::Ack { key: ack_key },
-        );
+    fn send_ack(&mut self, ctx: &mut impl Transport, cid: ClusterId, key: Key128, ack_key: u64) {
+        let frame = self.seal(cid, key, ctx.now(), &Inner::Ack { key: ack_key });
         ctx.broadcast(frame);
+    }
+
+    /// Seals `inner` as one Step-2 frame under cluster `(cid, key)`,
+    /// stamped `now`. The base station is the root of every gradient, so
+    /// the header always carries hops 0.
+    fn seal(&mut self, cid: ClusterId, key: Key128, now: SimTime, inner: &Inner) -> Bytes {
+        let seq = self.next_seq();
+        wrap_frame(self.sealers.get(&key), cid, self.id, seq, now, 0, inner)
     }
 }
 
@@ -732,21 +716,12 @@ impl BaseStation {
                 // Multi-sink: flood a beacon naming this sink, so sensors
                 // learn a *per-sink* gradient. Single-sink keeps the legacy
                 // anonymous beacon byte-identical.
-                let inner = if self.cfg.sinks.enabled {
-                    Inner::SinkBeacon { sink: self.id }
+                let route = if self.cfg.sinks.enabled {
+                    Route::Sink(self.id)
                 } else {
-                    Inner::Beacon
+                    Route::Bs
                 };
-                let seq = self.next_seq();
-                let frame = wrap_frame(
-                    self.sealers.get(&self.own_kc),
-                    self.id,
-                    self.id,
-                    seq,
-                    ctx.now(),
-                    Gradient::at(0).hops(),
-                    &inner,
-                );
+                let frame = self.seal(self.id, self.own_kc, ctx.now(), &route.beacon());
                 ctx.broadcast(frame);
             }
             TIMER_BS_AUTO_REFRESH => {

@@ -12,6 +12,11 @@
 //! * **Steady state** — originate readings (Step 1 + Step 2), forward
 //!   others' traffic downhill ([`crate::routing::Gradient`]), fuse
 //!   duplicates, process revocations, answer join requests, refresh keys.
+//!
+//! There is one forwarding path. Data, beacons and ACKs are handled once,
+//! keyed by a [`Route`] that names which gradient a frame descends (the
+//! base station's, or a sink's in multi-sink mode), and every Step-2
+//! frame this node sends is sealed by one helper, `seal`.
 
 use crate::config::{CounterMode, ProtocolConfig, RefreshMode};
 use crate::error::ProtocolError;
@@ -26,7 +31,7 @@ use crate::msg::{ClusterId, DataUnit, Inner, Message};
 use crate::recovery::{self, RecoveryState, RetxEntry, RetxKind};
 use crate::refresh;
 use crate::resource::{self, Admission, ResourceState};
-use crate::routing::Gradient;
+use crate::routing::{Gradient, Route};
 use crate::sink::SinkTable;
 use crate::transport::Transport;
 use bytes::Bytes;
@@ -439,21 +444,6 @@ impl ProtocolNode {
         &self.resource
     }
 
-    /// Current outbound reading-queue depth.
-    pub fn pending_readings_len(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Current retransmission custody-map depth (recovery layer).
-    pub fn retx_pending_len(&self) -> usize {
-        self.recovery_state().pending.len()
-    }
-
-    /// Current neighbor-cluster key-table size (the set `S`).
-    pub fn neighbor_keys_len(&self) -> usize {
-        self.neighbor_keys.len()
-    }
-
     /// Sets the absolute virtual-time horizon for heartbeat emission and
     /// head-loss watching (see `RecoveryConfig::heartbeat_until`). Drivers
     /// call this *after* setup so the bounded heartbeat schedule covers
@@ -528,17 +518,7 @@ impl ProtocolNode {
             epoch: self.epoch + 1,
             new_kc,
         };
-        let seq = self.next_seq();
-        let hops = self.gradient.hops();
-        let frame = wrap_frame(
-            self.sealers.get(&old_kc),
-            cid,
-            self.keys.id,
-            seq,
-            now,
-            hops,
-            &inner,
-        );
+        let frame = self.seal(cid, old_kc, Route::Bs, now, &inner);
         if self.cfg.recovery.enabled {
             // Acknowledged refresh: track the broadcast until the first
             // member confirms. ACKs will arrive under the key being
@@ -558,6 +538,7 @@ impl ProtocolNode {
             let entry = RetxEntry {
                 frame: frame.clone(),
                 kind: RetxKind::Refresh,
+                route: Route::Bs,
                 attempt: 0,
                 deadline: now + self.cfg.recovery.retx_base,
                 repaired: false,
@@ -578,6 +559,38 @@ impl ProtocolNode {
         let s = self.seq;
         self.seq += 1;
         s
+    }
+
+    /// Seals `inner` as one Step-2 frame under cluster `(cid, key)`,
+    /// stamped `now` and carrying our distance along `route`.
+    fn seal(
+        &mut self,
+        cid: ClusterId,
+        key: Key128,
+        route: Route,
+        now: SimTime,
+        inner: &Inner,
+    ) -> Bytes {
+        let seq = self.next_seq();
+        let hops = self.gradient_on(route).hops();
+        wrap_frame(
+            self.sealers.get(&key),
+            cid,
+            self.keys.id,
+            seq,
+            now,
+            hops,
+            inner,
+        )
+    }
+
+    /// Our gradient along `route`: the base-station gradient, or the one
+    /// toward the named sink (unestablished if never heard from).
+    fn gradient_on(&self, route: Route) -> Gradient {
+        match route {
+            Route::Bs => self.gradient,
+            Route::Sink(sink) => Gradient::at(self.sink_table().hops_to(sink)),
+        }
     }
 
     // --- phase machinery -----------------------------------------------
@@ -676,50 +689,30 @@ impl ProtocolNode {
         self.dedup.insert(dkey);
         self.stats.originated += 1;
         // Multi-sink: address the unit to the nearest sink (deterministic
-        // tie-break by sink id inside `nearest`) and carry our distance to
-        // *that* sink in the header, so forwarders apply the per-sink
-        // downhill rule. Before any SinkBeacon arrives, fall back to the
-        // legacy single-gradient frame.
-        let (inner, hops) = if self.cfg.sinks.enabled {
-            match self.sink_table().nearest() {
-                Some((sink, hops)) => (Inner::SinkData { sink, unit }, hops),
-                None => (Inner::Data(unit), self.gradient.hops()),
-            }
-        } else {
-            (Inner::Data(unit), self.gradient.hops())
-        };
-        if let Some(frame) = self.broadcast_wrapped_hops(ctx, &inner, hops) {
-            self.enroll_retx(ctx, dkey, frame, RetxKind::Data);
+        // tie-break by sink id inside `nearest`), so forwarders apply the
+        // per-sink downhill rule. Before any SinkBeacon arrives (always,
+        // in single-sink mode), use the base-station gradient.
+        let route = self
+            .sink_table()
+            .nearest()
+            .map_or(Route::Bs, |(sink, _)| Route::Sink(sink));
+        if let Some(frame) = self.broadcast_wrapped(ctx, route, &route.data(unit)) {
+            self.enroll_retx(ctx, dkey, frame, RetxKind::Data, route);
         }
     }
 
-    fn broadcast_wrapped(&mut self, ctx: &mut impl Transport, inner: &Inner) -> Option<Bytes> {
-        let hops = self.gradient.hops();
-        self.broadcast_wrapped_hops(ctx, inner, hops)
-    }
-
-    /// Like [`Self::broadcast_wrapped`] but with an explicit hop distance
-    /// for the authenticated header — multi-sink frames carry the distance
-    /// to the sink they are addressed to, not the legacy BS gradient.
-    fn broadcast_wrapped_hops(
+    /// Seals `inner` under our own cluster key, carrying our distance
+    /// along `route`, and broadcasts it. `None` while unclustered.
+    fn broadcast_wrapped(
         &mut self,
         ctx: &mut impl Transport,
+        route: Route,
         inner: &Inner,
-        hops: u32,
     ) -> Option<Bytes> {
         let (Some(cid), Some(kc)) = (self.cid, self.cluster_key) else {
             return None;
         };
-        let seq = self.next_seq();
-        let frame = wrap_frame(
-            self.sealers.get(&kc),
-            cid,
-            self.keys.id,
-            seq,
-            ctx.now(),
-            hops,
-            inner,
-        );
+        let frame = self.seal(cid, kc, route, ctx.now(), inner);
         ctx.broadcast(frame.clone());
         Some(frame)
     }
@@ -909,137 +902,65 @@ impl ProtocolNode {
         sender_hops: u32,
     ) {
         match inner {
-            Inner::Beacon => {
-                if self.recovery_state().own_cid_beacons_only && self.cid != Some(outer_cid) {
-                    // Route-blind-joiner guard: only a beacon wrapped under
-                    // our *own* cluster key proves its sender can serve as
-                    // our first hop, so only those may teach us a distance.
-                    return;
-                }
-                if self.gradient.observe_beacon(sender_hops) {
-                    self.broadcast_wrapped(ctx, &Inner::Beacon);
-                }
+            Inner::SinkBeacon { .. } | Inner::SinkData { .. } if !self.cfg.sinks.enabled => {
+                self.stats.drops.wrong_phase += 1;
             }
-            Inner::Data(unit) => self.handle_data(ctx, unit, sender_hops, outer_cid, outer_key),
+            Inner::Beacon => self.handle_beacon(ctx, Route::Bs, outer_cid, sender_hops),
+            Inner::SinkBeacon { sink } => {
+                self.handle_beacon(ctx, Route::Sink(sink), outer_cid, sender_hops)
+            }
+            Inner::Data(unit) => {
+                self.handle_data(ctx, Route::Bs, unit, sender_hops, outer_cid, outer_key)
+            }
+            Inner::SinkData { sink, unit } => {
+                let route = Route::Sink(sink);
+                self.handle_data(ctx, route, unit, sender_hops, outer_cid, outer_key)
+            }
             Inner::RefreshHello { epoch, new_kc } => {
                 self.handle_refresh_hello(ctx, outer_cid, epoch, new_kc)
             }
-            Inner::Ack { key } => {
-                // Honor an ACK only from a node strictly closer to the
-                // base station (same rule as the implicit ACK): a
-                // forwarder's ACK is aimed uphill, but it radiates in all
-                // directions, and a same-hops custodian that dropped its
-                // pending entry on a peer's ACK would leave the frame
-                // with no custodian at all if every downhill copy of the
-                // peer's transmission is then lost.
-                if self.cfg.recovery.enabled
-                    && sender_hops < self.gradient.hops()
-                    && self.recovery_ack(key)
-                {
-                    self.arm_retx_timer(ctx);
-                }
-            }
-            Inner::BusyAck { key } => {
-                // Custody moved exactly as with a plain ACK, but the acker
-                // is congested: stretch our retransmission backoffs for
-                // the busy-hold window instead of piling on.
-                if self.cfg.resources.enabled {
-                    self.resource.note_busy(&self.cfg.resources, ctx.now());
-                }
-                if self.cfg.recovery.enabled
-                    && sender_hops < self.gradient.hops()
-                    && self.recovery_ack(key)
-                {
-                    self.arm_retx_timer(ctx);
-                }
-            }
+            Inner::Ack { key } => self.handle_ack(ctx, key, false, Some(sender_hops)),
+            Inner::BusyAck { key } => self.handle_ack(ctx, key, true, Some(sender_hops)),
             Inner::RouteRequest => self.handle_route_request(ctx, outer_cid, outer_key),
             Inner::Heartbeat => self.handle_heartbeat(ctx, outer_cid),
             Inner::NewHead { new_cid, new_kc } => {
                 self.handle_new_head(ctx, outer_cid, new_cid, new_kc)
             }
-            Inner::SinkBeacon { sink } => {
-                if !self.cfg.sinks.enabled {
-                    self.stats.drops.wrong_phase += 1;
-                    return;
-                }
-                // Same route-blind-joiner guard as the legacy beacon.
-                if self.recovery_state().own_cid_beacons_only && self.cid != Some(outer_cid) {
-                    return;
-                }
-                if self
-                    .extras_mut()
-                    .sink_table
-                    .observe_beacon(sink, sender_hops)
-                {
-                    let hops = self.sink_table().hops_to(sink);
-                    self.broadcast_wrapped_hops(ctx, &Inner::SinkBeacon { sink }, hops);
-                }
-            }
-            Inner::SinkData { sink, unit } => {
-                self.handle_sink_data(ctx, sink, unit, sender_hops, outer_cid, outer_key)
-            }
         }
     }
 
-    /// The multi-sink mirror of [`Self::handle_data`]: the implicit-ACK,
-    /// dedup, and strictly-downhill forwarding decisions all use the
-    /// gradient *to the sink the unit is addressed to*, and the re-wrapped
-    /// frame keeps that sink's address and our distance to it.
-    fn handle_sink_data(
+    fn handle_beacon(
         &mut self,
         ctx: &mut impl Transport,
-        sink: u32,
-        unit: DataUnit,
-        sender_hops: u32,
+        route: Route,
         outer_cid: ClusterId,
-        outer_key: Key128,
+        sender_hops: u32,
     ) {
-        if !self.cfg.sinks.enabled {
-            self.stats.drops.wrong_phase += 1;
+        if self.recovery_state().own_cid_beacons_only && self.cid != Some(outer_cid) {
+            // Route-blind-joiner guard: only a beacon wrapped under our
+            // *own* cluster key proves its sender can serve as our first
+            // hop, so only those may teach us a distance.
             return;
         }
-        let rec_on = self.cfg.recovery.enabled;
-        let dkey = unit.dedup_key();
-        let my_hops = self.sink_table().hops_to(sink);
-        // Implicit ACK: a node strictly closer to *this* sink rebroadcast a
-        // unit we hold pending — custody moved downhill.
-        if rec_on && sender_hops < my_hops && self.recovery_ack(dkey) {
-            self.arm_retx_timer(ctx);
-        }
-        if !self.dedup.insert(dkey) {
-            self.stats.fused_duplicates += 1;
-            if rec_on && self.sink_table().should_forward(sink, sender_hops) && !self.muted {
-                self.send_ack_hops(ctx, outer_cid, &outer_key, dkey, my_hops);
-            }
-            return;
-        }
-        if self.sink_table().should_forward(sink, sender_hops) && !self.muted {
-            if self.cfg.fusion_suppression && !unit.sealed {
-                if self.is_redundant_reading(&unit.body) {
-                    self.stats.fused_duplicates += 1;
-                    if rec_on {
-                        self.send_ack_hops(ctx, outer_cid, &outer_key, dkey, my_hops);
-                    }
-                    return;
-                }
-                self.extras_mut().peek.observe(&unit.body);
-            }
-            self.stats.forwarded += 1;
-            if rec_on {
-                self.send_ack_hops(ctx, outer_cid, &outer_key, dkey, my_hops);
-            }
-            if let Some(frame) =
-                self.broadcast_wrapped_hops(ctx, &Inner::SinkData { sink, unit }, my_hops)
-            {
-                self.enroll_retx(ctx, dkey, frame, RetxKind::Data);
-            }
+        let improved = match route {
+            Route::Bs => self.gradient.observe_beacon(sender_hops),
+            Route::Sink(sink) => self
+                .extras_mut()
+                .sink_table
+                .observe_beacon(sink, sender_hops),
+        };
+        if improved {
+            self.broadcast_wrapped(ctx, route, &route.beacon());
         }
     }
 
+    /// Step 2 at a forwarder: the implicit-ACK, dedup and strictly-downhill
+    /// decisions all use our gradient along the unit's `route`, and the
+    /// re-wrapped frame keeps that route and our distance on it.
     fn handle_data(
         &mut self,
         ctx: &mut impl Transport,
+        route: Route,
         unit: DataUnit,
         sender_hops: u32,
         outer_cid: ClusterId,
@@ -1047,10 +968,11 @@ impl ProtocolNode {
     ) {
         let rec_on = self.cfg.recovery.enabled;
         let dkey = unit.dedup_key();
-        // Implicit ACK: a node strictly closer to the base station just
+        let downhill = self.gradient_on(route).should_forward(sender_hops) && !self.muted;
+        // Implicit ACK: a node strictly closer along the route just
         // rebroadcast a unit we still hold pending — custody has moved
         // downhill even if the explicit ACK was lost.
-        if rec_on && sender_hops < self.gradient.hops() && self.recovery_ack(dkey) {
+        if rec_on && self.custody_ack(dkey, sender_hops) {
             self.arm_retx_timer(ctx);
         }
         // The fusion peek, level 1: discard byte-identical copies before
@@ -1059,12 +981,12 @@ impl ProtocolNode {
             self.stats.fused_duplicates += 1;
             // A duplicate from uphill is (also) a retransmission aimed at
             // us: our earlier ACK was lost, so confirm again.
-            if rec_on && self.gradient.should_forward(sender_hops) && !self.muted {
-                self.send_ack(ctx, outer_cid, &outer_key, dkey);
+            if rec_on && downhill {
+                self.send_ack(ctx, route, outer_cid, outer_key, dkey);
             }
             return;
         }
-        if self.gradient.should_forward(sender_hops) && !self.muted {
+        if downhill {
             // Level 2 (optional): for plaintext fusion readings, discard
             // values inside the envelope of readings already relayed —
             // "some processing of the raw data to discard extraneous
@@ -1075,7 +997,7 @@ impl ProtocolNode {
                     // Suppressed, but received: the uphill sender must
                     // still stop retransmitting.
                     if rec_on {
-                        self.send_ack(ctx, outer_cid, &outer_key, dkey);
+                        self.send_ack(ctx, route, outer_cid, outer_key, dkey);
                     }
                     return;
                 }
@@ -1083,10 +1005,10 @@ impl ProtocolNode {
             }
             self.stats.forwarded += 1;
             if rec_on {
-                self.send_ack(ctx, outer_cid, &outer_key, dkey);
+                self.send_ack(ctx, route, outer_cid, outer_key, dkey);
             }
-            if let Some(frame) = self.broadcast_wrapped(ctx, &Inner::Data(unit)) {
-                self.enroll_retx(ctx, dkey, frame, RetxKind::Data);
+            if let Some(frame) = self.broadcast_wrapped(ctx, route, &route.data(unit)) {
+                self.enroll_retx(ctx, dkey, frame, RetxKind::Data, route);
             }
         }
     }
@@ -1112,24 +1034,16 @@ impl ProtocolNode {
                 // establishment. Epoch gating makes this flood terminate:
                 // once updated, duplicates carry epoch == self.epoch.
                 if let (Some(cid), Some(old_kc)) = (self.cid, self.cluster_key) {
-                    let seq = self.next_seq();
-                    let hops = self.gradient.hops();
-                    let frame = wrap_frame(
-                        self.sealers.get(&old_kc),
-                        cid,
-                        self.keys.id,
-                        seq,
-                        ctx.now(),
-                        hops,
-                        &Inner::RefreshHello { epoch, new_kc },
-                    );
+                    let inner = Inner::RefreshHello { epoch, new_kc };
+                    let frame = self.seal(cid, old_kc, Route::Bs, ctx.now(), &inner);
                     ctx.broadcast(frame);
                     if self.cfg.recovery.enabled {
                         // Confirm receipt to the head — necessarily under
                         // the key being retired (the head keeps it one
                         // epoch for exactly this) — and keep the old key
                         // ourselves for stragglers' ACKs.
-                        self.send_ack(ctx, cid, &old_kc, recovery::refresh_ack_key(cid, epoch));
+                        let ack_key = recovery::refresh_ack_key(cid, epoch);
+                        self.send_ack(ctx, Route::Bs, cid, old_kc, ack_key);
                         self.recovery_mut().prev_cluster_key = Some(old_kc);
                     }
                 }
@@ -1361,7 +1275,14 @@ impl ProtocolNode {
     /// evicted first, and an incoming data frame refused outright when
     /// only refresh entries remain (the frame was still broadcast once —
     /// it loses retransmission coverage, not its first transmission).
-    fn enroll_retx(&mut self, ctx: &mut impl Transport, key: u64, frame: Bytes, kind: RetxKind) {
+    fn enroll_retx(
+        &mut self,
+        ctx: &mut impl Transport,
+        key: u64,
+        frame: Bytes,
+        kind: RetxKind,
+        route: Route,
+    ) {
         if !self.cfg.recovery.enabled {
             return;
         }
@@ -1395,6 +1316,7 @@ impl ProtocolNode {
             RetxEntry {
                 frame,
                 kind,
+                route,
                 attempt: 0,
                 deadline,
                 repaired: false,
@@ -1431,25 +1353,18 @@ impl ProtocolNode {
     }
 
     /// Emits a hop-by-hop ACK under the key the acknowledged frame
-    /// *arrived* under — the one key its custodian provably holds. With
+    /// *arrived* under — the one key its custodian provably holds — with
+    /// our distance along the route that frame was addressed to. With
     /// resource budgets on, a node whose custody map has passed the
     /// high-water mark confirms with [`Inner::BusyAck`] instead, telling
     /// upstream to back off before retrying through this hop.
-    fn send_ack(&mut self, ctx: &mut impl Transport, cid: ClusterId, key: &Key128, ack_key: u64) {
-        let hops = self.gradient.hops();
-        self.send_ack_hops(ctx, cid, key, ack_key, hops);
-    }
-
-    /// [`Self::send_ack`] with an explicit header hop distance — multi-sink
-    /// ACKs advertise the acker's distance to the sink the acknowledged
-    /// frame was addressed to.
-    fn send_ack_hops(
+    fn send_ack(
         &mut self,
         ctx: &mut impl Transport,
+        route: Route,
         cid: ClusterId,
-        key: &Key128,
+        key: Key128,
         ack_key: u64,
-        hops: u32,
     ) {
         let res = self.cfg.resources;
         let inner = if res.enabled && self.recovery_state().pending.len() >= res.tx_high_water {
@@ -1457,18 +1372,51 @@ impl ProtocolNode {
         } else {
             Inner::Ack { key: ack_key }
         };
-        let seq = self.next_seq();
-        let frame = wrap_frame(
-            self.sealers.get(key),
-            cid,
-            self.keys.id,
-            seq,
-            ctx.now(),
-            hops,
-            &inner,
-        );
+        let frame = self.seal(cid, key, route, ctx.now(), &inner);
         ctx.broadcast(frame);
         self.stats.acks_sent += 1;
+    }
+
+    /// An ACK (or, with `busy`, a BusyAck) for custody entry `key`. A
+    /// BusyAck moves custody exactly as a plain ACK, but the acker is
+    /// congested: stretch our retransmission backoffs for the busy-hold
+    /// window instead of piling on. `sender_hops` is `None` for a refresh
+    /// ACK salvaged under our retired cluster key, honored from any
+    /// distance.
+    fn handle_ack(
+        &mut self,
+        ctx: &mut impl Transport,
+        key: u64,
+        busy: bool,
+        sender_hops: Option<u32>,
+    ) {
+        if busy && self.cfg.resources.enabled {
+            self.resource.note_busy(&self.cfg.resources, ctx.now());
+        }
+        if !self.cfg.recovery.enabled {
+            return;
+        }
+        let cleared = match sender_hops {
+            Some(hops) => self.custody_ack(key, hops),
+            None => self.recovery_ack(key),
+        };
+        if cleared {
+            self.arm_retx_timer(ctx);
+        }
+    }
+
+    /// Clears custody entry `key` if `sender_hops` is strictly closer than
+    /// us along the route its frame was addressed to; `true` if cleared.
+    /// An ACK is aimed uphill but radiates in all directions, and a
+    /// same-hops custodian that dropped its entry on a peer's ACK would
+    /// leave the frame with no custodian at all if every downhill copy of
+    /// the peer's transmission is then lost.
+    fn custody_ack(&mut self, key: u64, sender_hops: u32) -> bool {
+        let route = match self.recovery_state().pending.get(&key) {
+            Some(entry) => entry.route,
+            None => return false,
+        };
+        sender_hops < self.gradient_on(route).hops() && self.recovery_ack(key)
     }
 
     fn on_retx_timer(&mut self, ctx: &mut impl Transport) {
@@ -1514,7 +1462,7 @@ impl ProtocolNode {
     /// for a scoped re-flood, and give the frame one more retry cycle.
     fn start_route_repair(&mut self, ctx: &mut impl Transport, key: u64, mut entry: RetxEntry) {
         self.gradient.invalidate();
-        self.broadcast_wrapped(ctx, &Inner::RouteRequest);
+        self.broadcast_wrapped(ctx, Route::Bs, &Inner::RouteRequest);
         self.stats.route_repairs += 1;
         entry.repaired = true;
         entry.attempt = 0;
@@ -1544,17 +1492,7 @@ impl ProtocolNode {
         {
             return;
         }
-        let seq = self.next_seq();
-        let hops = self.gradient.hops();
-        let frame = wrap_frame(
-            self.sealers.get(&outer_key),
-            outer_cid,
-            self.keys.id,
-            seq,
-            ctx.now(),
-            hops,
-            &Inner::Beacon,
-        );
+        let frame = self.seal(outer_cid, outer_key, Route::Bs, ctx.now(), &Inner::Beacon);
         ctx.broadcast(frame);
         self.recovery_mut().last_route_reply = Some(ctx.now());
     }
@@ -1688,17 +1626,8 @@ impl ProtocolNode {
             ctx.trace(TraceEvent::ReElected { old_cid: oc });
             // Announce under the OLD cluster key — the one credential the
             // orphaned members share with us.
-            let seq = self.next_seq();
-            let hops = self.gradient.hops();
-            let frame = wrap_frame(
-                self.sealers.get(&ok),
-                oc,
-                self.keys.id,
-                seq,
-                ctx.now(),
-                hops,
-                &Inner::NewHead { new_cid, new_kc },
-            );
+            let inner = Inner::NewHead { new_cid, new_kc };
+            let frame = self.seal(oc, ok, Route::Bs, ctx.now(), &inner);
             ctx.broadcast(frame);
         }
         ctx.trace(TraceEvent::BecameHead);
@@ -1729,17 +1658,8 @@ impl ProtocolNode {
             let (Some(oc), Some(ok)) = (self.cid, self.cluster_key) else {
                 return;
             };
-            let seq = self.next_seq();
-            let hops = self.gradient.hops();
-            let frame = wrap_frame(
-                self.sealers.get(&ok),
-                oc,
-                self.keys.id,
-                seq,
-                ctx.now(),
-                hops,
-                &Inner::NewHead { new_cid, new_kc },
-            );
+            let inner = Inner::NewHead { new_cid, new_kc };
+            let frame = self.seal(oc, ok, Route::Bs, ctx.now(), &inner);
             ctx.broadcast(frame);
             self.neighbor_keys.insert(oc, ok);
             self.note_neighbor_peak();
@@ -1786,30 +1706,14 @@ impl ProtocolNode {
             &mut scratch,
         );
         self.rx_scratch = scratch;
-        if let Ok(u) = result {
-            match u.inner {
-                Inner::Ack { key } => {
-                    if self.recovery_ack(key) {
-                        self.arm_retx_timer(ctx);
-                    }
-                    return true;
-                }
-                Inner::BusyAck { key } => {
-                    // A congested member confirming a refresh under the
-                    // retired key: custody clears and the busy signal
-                    // still counts.
-                    if self.cfg.resources.enabled {
-                        self.resource.note_busy(&self.cfg.resources, ctx.now());
-                    }
-                    if self.recovery_ack(key) {
-                        self.arm_retx_timer(ctx);
-                    }
-                    return true;
-                }
-                _ => {}
-            }
+        match result.map(|u| u.inner) {
+            Ok(Inner::Ack { key }) => self.handle_ack(ctx, key, false, None),
+            // A congested member confirming a refresh under the retired
+            // key: custody clears and the busy signal still counts.
+            Ok(Inner::BusyAck { key }) => self.handle_ack(ctx, key, true, None),
+            _ => return false,
         }
-        false
+        true
     }
 
     /// Stale-epoch catch-up: hash refresh is globally lockstepped, so a
@@ -1967,7 +1871,7 @@ impl ProtocolNode {
                             // beacons from here on, and solicit one now.
                             self.recovery_mut().own_cid_beacons_only = true;
                             self.gradient = Gradient::default();
-                            self.broadcast_wrapped(ctx, &Inner::RouteRequest);
+                            self.broadcast_wrapped(ctx, Route::Bs, &Inner::RouteRequest);
                         }
                     }
                     self.arm_auto_refresh(ctx);
@@ -1975,7 +1879,7 @@ impl ProtocolNode {
             }
             TIMER_RETX => self.on_retx_timer(ctx),
             TIMER_HEARTBEAT if self.role == Role::Head && !self.revoked => {
-                self.broadcast_wrapped(ctx, &Inner::Heartbeat);
+                self.broadcast_wrapped(ctx, Route::Bs, &Inner::Heartbeat);
                 self.arm_heartbeat(ctx);
             }
             TIMER_HEAD_WATCH => self.on_head_watch(ctx),

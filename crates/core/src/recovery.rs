@@ -33,6 +33,7 @@
 //! run-to-quiescence simulations still terminate.
 
 use crate::config::RecoveryConfig;
+use crate::routing::Route;
 use bytes::Bytes;
 use rand::Rng;
 use std::collections::BTreeMap;
@@ -58,6 +59,10 @@ pub struct RetxEntry {
     pub frame: Bytes,
     /// Data or refresh.
     pub kind: RetxKind,
+    /// The route the frame was addressed along: an ACK clears the entry
+    /// only from a sender strictly closer on it. Refresh entries use
+    /// [`Route::Bs`].
+    pub route: Route,
     /// Retransmissions already performed.
     pub attempt: u32,
     /// Virtual time at which the entry becomes due for retransmission.
@@ -200,6 +205,7 @@ mod tests {
         RetxEntry {
             frame: Bytes::from_static(b"frame"),
             kind: RetxKind::Data,
+            route: Route::Bs,
             attempt: 0,
             deadline,
             repaired: false,

@@ -259,6 +259,7 @@ mod tests {
         RetxEntry {
             frame: Bytes::from_static(b"frame"),
             kind,
+            route: crate::routing::Route::Bs,
             attempt: 0,
             deadline,
             repaired: false,

@@ -17,6 +17,41 @@
 //! other routing state is exchanged, the "spoofed, altered or replayed
 //! routing information" attack class of §VI has no surface, and there are
 //! no privileged nodes for sinkhole formation.
+//!
+//! With several sinks ([`crate::sink`]) a node keeps one gradient per
+//! sink besides this one; a [`Route`] names which gradient a frame
+//! descends, and the forwarding code is written once against it.
+
+use crate::msg::{DataUnit, Inner};
+
+/// Which gradient a frame descends: the base station's, or the one
+/// toward a named sink. The wire keeps the two apart (`Data` vs
+/// `SinkData`, `Beacon` vs `SinkBeacon`); the forwarding rule does not.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Route {
+    /// The single-sink gradient toward the base station.
+    Bs,
+    /// The gradient toward sink `id` (multi-sink mode).
+    Sink(u32),
+}
+
+impl Route {
+    /// The frame that carries `unit` along this route.
+    pub fn data(self, unit: DataUnit) -> Inner {
+        match self {
+            Route::Bs => Inner::Data(unit),
+            Route::Sink(sink) => Inner::SinkData { sink, unit },
+        }
+    }
+
+    /// The beacon that teaches this route's gradient.
+    pub fn beacon(self) -> Inner {
+        match self {
+            Route::Bs => Inner::Beacon,
+            Route::Sink(sink) => Inner::SinkBeacon { sink },
+        }
+    }
+}
 
 /// A node's gradient state.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

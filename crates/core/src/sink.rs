@@ -7,7 +7,10 @@
 //! **sink set**: node ids `0..K` are sinks, each floods its own
 //! authenticated `SinkBeacon`, sensors keep one [`Gradient`] per sink
 //! in a [`SinkTable`] and route each reading to the *nearest* sink
-//! (deterministic tie-break by smaller sink id).
+//! (deterministic tie-break by smaller sink id). Sensors forward
+//! multi-sink traffic through the same code path as single-sink traffic:
+//! a [`crate::routing::Route::Sink`] names which gradient a frame
+//! descends.
 //!
 //! BS-side per-node state — the `Ki` registry entry and the replay
 //! counter window — is **partitioned** by node id: the home sink of

@@ -1,12 +1,20 @@
 //! Multi-sink integration tests: per-sink gradients, nearest-sink
 //! routing, partitioned BS state with handoffs, and sink failover.
 
+use bytes::Bytes;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::collections::BTreeMap;
-use wsn_core::msg::MAX_FRAME_BYTES;
+use wsn_core::forward::{sealer, wrap_frame};
+use wsn_core::msg::{Inner, MAX_FRAME_BYTES};
+use wsn_core::node::{PendingReading, TIMER_SEND};
 use wsn_core::prelude::*;
 use wsn_core::routing::NO_GRADIENT;
 use wsn_core::setup::SetupParams;
+use wsn_core::transport::Transport;
+use wsn_sim::event::SimTime;
+use wsn_sim::node::{NodeId, TimerKey};
 
 fn multi_sink_outcome(n: usize, k: u32, seed: u64) -> NetworkHandle {
     let outcome = Scenario::new(SetupParams {
@@ -250,6 +258,100 @@ fn protocol_frames_fit_max_frame_bytes() {
         }
     }
     assert!(frames > 0, "no transmissions traced");
+}
+
+/// Drives one node's handlers directly, outside the simulator, at a
+/// fixed time: broadcasts are recorded, timers ignored.
+struct Probe {
+    id: NodeId,
+    now: SimTime,
+    rng: StdRng,
+    sent: Vec<Bytes>,
+}
+
+impl Transport for Probe {
+    fn id(&self) -> NodeId {
+        self.id
+    }
+    fn now(&self) -> SimTime {
+        self.now
+    }
+    fn rng(&mut self) -> &mut StdRng {
+        &mut self.rng
+    }
+    fn broadcast(&mut self, payload: Bytes) {
+        self.sent.push(payload);
+    }
+    fn send(&mut self, _to: NodeId, payload: Bytes) {
+        self.sent.push(payload);
+    }
+    fn set_timer(&mut self, _key: TimerKey, _delay: SimTime) {}
+    fn cancel_timer(&mut self, _key: TimerKey) {}
+}
+
+/// An ACK moves custody only from a sender strictly closer along the
+/// route the custodian's frame was addressed to — here, toward its
+/// nearest sink. A peer at the custodian's own distance (a plain ACK or
+/// a BusyAck) must leave the entry in place; one hop closer clears it.
+#[test]
+fn same_distance_ack_keeps_custody_toward_a_sink() {
+    let mut h = Scenario::new(SetupParams {
+        n: 60,
+        density: 12.0,
+        seed: 2005,
+        cfg: ProtocolConfig::default()
+            .with_sinks(2)
+            .with_recovery(RecoveryConfig::default()),
+    })
+    .run()
+    .handle;
+    h.establish_gradient();
+    let src = h
+        .sensor_ids()
+        .into_iter()
+        .find(|&id| {
+            let n = h.sensor(id);
+            n.cid().is_some() && n.nearest_sink().is_some_and(|(_, hops)| hops >= 2)
+        })
+        .expect("a clustered sensor two or more hops from its sink");
+    let (_, hops) = h.sensor(src).nearest_sink().unwrap();
+    let (cid, kc) = h.sensor(src).extract_keys().cluster.unwrap();
+    let now = h.sim().now();
+    let mut t = Probe {
+        id: src,
+        now,
+        rng: StdRng::seed_from_u64(1),
+        sent: Vec::new(),
+    };
+    let node = h.sensor_mut(src);
+    node.queue_reading(PendingReading {
+        data: vec![7; 8],
+        sealed: true,
+    });
+    node.dispatch_timer(&mut t, TIMER_SEND);
+    assert_eq!(t.sent.len(), 1, "the reading was not sent");
+    let key = *node
+        .recovery_state()
+        .pending
+        .keys()
+        .next()
+        .expect("the reading was not taken into custody");
+    // A peer in the same cluster; nonces never repeat across seqs.
+    let peer = src + 1;
+    let ack = |seq: u64, sender_hops: u32, inner: &Inner| {
+        wrap_frame(&sealer(&kc), cid, peer, seq, now, sender_hops, inner)
+    };
+    node.dispatch_message(&mut t, peer, &ack(0, hops, &Inner::Ack { key }));
+    node.dispatch_message(&mut t, peer, &ack(1, hops, &Inner::BusyAck { key }));
+    assert!(
+        node.recovery_state().pending.contains_key(&key),
+        "custody dropped on an ACK from the custodian's own distance ({hops} hops)"
+    );
+    node.dispatch_message(&mut t, peer, &ack(2, hops - 1, &Inner::Ack { key }));
+    assert!(
+        !node.recovery_state().pending.contains_key(&key),
+        "custody kept on an ACK from one hop closer"
+    );
 }
 
 /// `with_sinks(1)` uses the multi-sink machinery (grid placement,

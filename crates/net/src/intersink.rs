@@ -92,8 +92,6 @@ pub enum SinkMsg {
         from: u32,
         /// Monotonic per-sender beacon counter.
         seq: u64,
-        /// Sender's current hash-refresh epoch (observability only).
-        epoch: u32,
     },
     /// Two-phase handoff, phase 1: a copy of a node's partition entry.
     Handoff {
@@ -197,11 +195,10 @@ impl SinkMsg {
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(32);
         match self {
-            SinkMsg::Heartbeat { from, seq, epoch } => {
+            SinkMsg::Heartbeat { from, seq } => {
                 out.push(T_HEARTBEAT);
                 out.extend_from_slice(&from.to_be_bytes());
                 out.extend_from_slice(&seq.to_be_bytes());
-                out.extend_from_slice(&epoch.to_be_bytes());
             }
             SinkMsg::Handoff {
                 from,
@@ -255,7 +252,6 @@ impl SinkMsg {
             T_HEARTBEAT => SinkMsg::Heartbeat {
                 from: r.u32()?,
                 seq: r.u64()?,
-                epoch: r.u32()?,
             },
             T_HANDOFF => {
                 let from = r.u32()?;
@@ -322,12 +318,7 @@ pub fn open(key: &HmacKey, bytes: &[u8]) -> Option<SinkMsg> {
         return None;
     }
     let expect = key.mac(head);
-    // Constant-time fold over the truncated tag.
-    let mut diff = 0u8;
-    for (a, b) in expect[..TAG_BYTES].iter().zip(tag) {
-        diff |= a ^ b;
-    }
-    if diff != 0 {
+    if !wsn_crypto::ct::eq(&expect[..TAG_BYTES], tag) {
         return None;
     }
     SinkMsg::decode(&head[4..])
@@ -620,7 +611,6 @@ pub struct ControlCore {
     /// Full provisioned registry (`id → Ki`), re-derived from the
     /// shared seed — what makes local takeover possible.
     registry: BTreeMap<u32, Key128>,
-    epoch: u32,
     hb_seq: u64,
     next_hb_at: u64,
     /// Entries this sink holds on behalf of dead homes (`node → home`).
@@ -658,7 +648,6 @@ impl ControlCore {
                 now,
             ),
             registry,
-            epoch: 0,
             hb_seq: 0,
             next_hb_at: 0,
             borrowed: BTreeMap::new(),
@@ -668,11 +657,6 @@ impl ControlCore {
             rev_applied: BTreeSet::new(),
             rev_rejected: 0,
         }
-    }
-
-    /// Updates the epoch advertised in heartbeats.
-    pub fn set_epoch(&mut self, epoch: u32) {
-        self.epoch = epoch;
     }
 
     /// The peer liveness table (for status lines and tests).
@@ -709,7 +693,6 @@ impl ControlCore {
                     msg: SinkMsg::Heartbeat {
                         from: self.sink,
                         seq,
-                        epoch: self.epoch,
                     },
                 });
             }
@@ -1191,11 +1174,7 @@ mod tests {
 
     fn all_msgs() -> Vec<SinkMsg> {
         vec![
-            SinkMsg::Heartbeat {
-                from: 1,
-                seq: 42,
-                epoch: 3,
-            },
+            SinkMsg::Heartbeat { from: 1, seq: 42 },
             SinkMsg::Handoff {
                 from: 2,
                 node: 17,
@@ -1433,14 +1412,7 @@ mod tests {
             .collect();
         assert_eq!(taken, vec![1, 3, 5]);
         // Sink 1 comes back: heartbeat → Recovered → BeginReturn per node.
-        let outs = a.on_message(
-            SinkMsg::Heartbeat {
-                from: 1,
-                seq: 0,
-                epoch: 0,
-            },
-            10_000,
-        );
+        let outs = a.on_message(SinkMsg::Heartbeat { from: 1, seq: 0 }, 10_000);
         assert!(outs.is_empty());
         let outs = a.on_tick(10_100);
         let returns: Vec<(u32, u32)> = outs

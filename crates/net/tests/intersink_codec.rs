@@ -13,8 +13,7 @@ fn key128() -> impl Strategy<Value = Key128> {
 
 fn msg_strategy() -> impl Strategy<Value = SinkMsg> {
     prop_oneof![
-        (any::<u32>(), any::<u64>(), any::<u32>())
-            .prop_map(|(from, seq, epoch)| SinkMsg::Heartbeat { from, seq, epoch }),
+        (any::<u32>(), any::<u64>()).prop_map(|(from, seq)| SinkMsg::Heartbeat { from, seq }),
         (
             any::<u32>(),
             any::<u32>(),
@@ -138,11 +137,7 @@ proptest! {
 fn sealed_tag_matches_reference_hmac() {
     let km = Key128::from_bytes([7u8; 16]);
     let key = intersink_key(&km);
-    let msg = SinkMsg::Heartbeat {
-        from: 1,
-        seq: 42,
-        epoch: 3,
-    };
+    let msg = SinkMsg::Heartbeat { from: 1, seq: 42 };
     let sealed = seal(&key, &msg);
     let (head, tag) = sealed.split_at(sealed.len() - TAG_BYTES);
     assert_eq!(&key.mac(head)[..TAG_BYTES], tag);

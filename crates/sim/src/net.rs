@@ -49,11 +49,6 @@ impl Counters {
         self.tx_msgs.iter().sum()
     }
 
-    /// Mean frames transmitted per node.
-    pub fn mean_tx_per_node(&self) -> f64 {
-        self.total_tx_msgs() as f64 / self.tx_msgs.len() as f64
-    }
-
     /// Total radio energy, microjoules.
     pub fn total_energy_uj(&self) -> f64 {
         self.energy.iter().map(|e| e.total_uj()).sum()
