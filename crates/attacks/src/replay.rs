@@ -39,14 +39,14 @@ pub fn recorded_frame(handle: &NetworkHandle, src: u32, tau: u64, body: &'static
 /// Replays `frame` into `at`'s neighborhood `copies` times and returns the
 /// number of *new* readings the base station accepted because of it.
 pub fn replay_at(handle: &mut NetworkHandle, at: u32, frame: Bytes, copies: usize) -> usize {
-    let before = handle.bs().received.len();
+    let before = handle.sink(0).received.len();
     for k in 0..copies {
         handle
             .sim_mut()
             .inject_broadcast_at(at, 0x00AD_0002, 1 + k as u64, frame.clone());
     }
     handle.sim_mut().run();
-    handle.bs().received.len() - before
+    handle.sink(0).received.len() - before
 }
 
 #[cfg(test)]
@@ -93,7 +93,7 @@ mod tests {
         o.handle.establish_gradient();
         let src = o.handle.sensor_ids()[20];
         o.handle.send_reading(src, b"reading-Y".to_vec(), false);
-        let received = o.handle.bs().received.len();
+        let received = o.handle.sink(0).received.len();
         let records = o
             .handle
             .sim_mut()
@@ -109,7 +109,7 @@ mod tests {
             let extra = replay_at(&mut handle, src, frame, 2);
             assert_eq!(extra, 0, "replayed tape must not add readings");
         }
-        assert_eq!(handle.bs().received.len(), received);
+        assert_eq!(handle.sink(0).received.len(), received);
     }
 
     #[test]
@@ -138,7 +138,7 @@ mod tests {
             .iter()
             .map(|&id| handle.sensor(id).stats.drops.stale)
             .sum();
-        let received_before = handle.bs().received.len();
+        let received_before = handle.sink(0).received.len();
         handle.sim_mut().run();
         let stale_after: u64 = handle
             .sensor_ids()
@@ -146,7 +146,7 @@ mod tests {
             .map(|&id| handle.sensor(id).stats.drops.stale)
             .sum();
         assert!(stale_after > stale_before, "stale drops must register");
-        assert_eq!(handle.bs().received.len(), received_before);
+        assert_eq!(handle.sink(0).received.len(), received_before);
     }
 
     #[test]
@@ -156,8 +156,8 @@ mod tests {
         let mut handle = network(3);
         let src = handle.sensor_ids()[8];
         handle.send_reading(src, b"secret".to_vec(), true);
-        assert_eq!(handle.bs().received.len(), 1);
-        let dupes_before = handle.bs().duplicates;
+        assert_eq!(handle.sink(0).received.len(), 1);
+        let dupes_before = handle.sink(0).duplicates;
         // Record the same logical unit and replay it straight at the BS.
         let keys = handle.sensor(src).extract_keys();
         let (cid, kc) = keys.cluster.unwrap();
@@ -182,9 +182,9 @@ mod tests {
             .sim_mut()
             .inject_broadcast_at(0, 0xDEAD, 1, msg.encode());
         handle.sim_mut().run();
-        assert_eq!(handle.bs().received.len(), 1, "no double delivery");
+        assert_eq!(handle.sink(0).received.len(), 1, "no double delivery");
         assert!(
-            handle.bs().duplicates > dupes_before || handle.bs().counter_rejects > 0,
+            handle.sink(0).duplicates > dupes_before || handle.sink(0).counter_rejects > 0,
             "the replay must be visibly suppressed"
         );
     }

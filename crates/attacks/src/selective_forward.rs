@@ -40,13 +40,13 @@ pub fn run_with_muted_fraction(
             }
         }
     }
-    let before = handle.bs().received.len();
+    let before = handle.sink(0).received.len();
     for (k, &src) in sources.iter().enumerate() {
         handle.send_reading(src, format!("sf-{k}").into_bytes(), true);
     }
     ForwardingReport {
         attempted: sources.len(),
-        delivered: handle.bs().received.len() - before,
+        delivered: handle.sink(0).received.len() - before,
         muted,
     }
 }

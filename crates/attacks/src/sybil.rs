@@ -31,7 +31,7 @@ pub fn forge_identities(
     identities: &[u32],
 ) -> SybilReport {
     let (cid, kc) = captured.cluster.expect("captured node is clustered");
-    let before = handle.bs().received.len();
+    let before = handle.sink(0).received.len();
     for (k, &fake_src) in identities.iter().enumerate() {
         // Seal with the only node key the attacker has (the captured one),
         // but claim `fake_src` — the best a Sybil can do.
@@ -60,7 +60,7 @@ pub fn forge_identities(
     handle.sim_mut().run();
     SybilReport {
         injected: identities.len(),
-        accepted: handle.bs().received.len() - before,
+        accepted: handle.sink(0).received.len() - before,
     }
 }
 
@@ -68,7 +68,7 @@ pub fn forge_identities(
 /// attacker's *own* identity is accepted (it is, after all, a valid node
 /// until evicted).
 pub fn report_as_self(handle: &mut NetworkHandle, captured: &CapturedKeys) -> bool {
-    let before = handle.bs().received.len();
+    let before = handle.sink(0).received.len();
     let (cid, kc) = captured.cluster.expect("clustered");
     let body = e2e_seal(&captured.ki, captured.id, 0, b"own identity");
     let unit = DataUnit {
@@ -90,7 +90,7 @@ pub fn report_as_self(handle: &mut NetworkHandle, captured: &CapturedKeys) -> bo
         .sim_mut()
         .inject_broadcast_at(0, captured.id, 1, msg.encode());
     handle.sim_mut().run();
-    handle.bs().received.len() > before
+    handle.sink(0).received.len() > before
 }
 
 #[cfg(test)]

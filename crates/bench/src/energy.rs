@@ -123,7 +123,7 @@ pub fn fusion_energy_savings(n: usize, density: f64, rounds: usize) -> FusionSav
         }
         (
             o.handle.sim().counters().total_energy_uj() - baseline_uj,
-            o.handle.bs().received.len(),
+            o.handle.sink(0).received.len(),
         )
     };
     let (baseline_uj, baseline_delivered) = run(false);

@@ -117,7 +117,7 @@ fn legit_received(handle: &NetworkHandle) -> usize {
     // Flood units carry out-of-range source ids; count only readings
     // from provisioned sensors.
     handle
-        .bs()
+        .sink(0)
         .received
         .iter()
         .filter(|r| r.src < N as u32)
@@ -134,7 +134,7 @@ fn ring_victims(handle: &NetworkHandle) -> Vec<u32> {
     let mut ring: Vec<(u32, f64)> = handle
         .sensor_ids()
         .into_iter()
-        .filter(|&id| handle.sensor(id).hops_to_bs() == 1)
+        .filter(|&id| handle.sensor(id).hops_to(0) == 1)
         .map(|id| {
             let p = topo.position(id);
             (id, (p.y - bs.y).atan2(p.x - bs.x))

@@ -182,10 +182,10 @@ fn trial(seed: u64, intensity: usize, recovery: bool) -> TrialOut {
         handle.queue_reading_at(src, vec![0x5E, j as u8], true, at);
     }
 
-    let before = handle.bs().received.len();
+    let before = handle.sink(0).received.len();
     // Slack past the window lets in-flight frames and joins finish.
     let report = run_plan(&mut handle, &plan, WINDOW_US + 500_000);
-    let delivered = handle.bs().received.len() - before;
+    let delivered = handle.sink(0).received.len() - before;
 
     let target_epoch = report.refreshes;
     let ours = sensors

@@ -447,9 +447,9 @@ impl BaseStation {
                         })
                     {
                         // The gradient root itself is always a viable next
-                        // hop: answer with a hops-0 beacon under the
+                        // hop: answer with our own hops-0 beacon under the
                         // requester's cluster key.
-                        let frame = self.seal(cid, key, ctx.now(), &Inner::Beacon);
+                        let frame = self.seal(cid, key, ctx.now(), &self.beacon());
                         ctx.broadcast(frame);
                         self.last_route_reply = Some(ctx.now());
                     }
@@ -477,6 +477,12 @@ impl BaseStation {
     fn send_ack(&mut self, ctx: &mut impl Transport, cid: ClusterId, key: Key128, ack_key: u64) {
         let frame = self.seal(cid, key, ctx.now(), &Inner::Ack { key: ack_key });
         ctx.broadcast(frame);
+    }
+
+    /// The beacon rooting this sink's gradient: it names the sink in a
+    /// multi-sink deployment (the legacy anonymous `Beacon` otherwise).
+    fn beacon(&self) -> Inner {
+        Route(self.id).beacon(&self.cfg.sinks)
     }
 
     /// Seals `inner` as one Step-2 frame under cluster `(cid, key)`,
@@ -713,15 +719,7 @@ impl BaseStation {
                 ctx.broadcast(Message::LinkAdvert { nonce, sealed }.encode());
             }
             TIMER_BEACON => {
-                // Multi-sink: flood a beacon naming this sink, so sensors
-                // learn a *per-sink* gradient. Single-sink keeps the legacy
-                // anonymous beacon byte-identical.
-                let route = if self.cfg.sinks.enabled {
-                    Route::Sink(self.id)
-                } else {
-                    Route::Bs
-                };
-                let frame = self.seal(self.id, self.own_kc, ctx.now(), &route.beacon());
+                let frame = self.seal(self.id, self.own_kc, ctx.now(), &self.beacon());
                 ctx.broadcast(frame);
             }
             TIMER_BS_AUTO_REFRESH => {

@@ -84,7 +84,7 @@ pub mod prelude {
     pub use crate::setup::{
         run_setup, Backend, NetworkHandle, Scenario, SetupOutcome, SetupParams,
     };
-    pub use crate::sink::{Handoff, SinkNodeState, SinkSet, SinkTable};
+    pub use crate::sink::{Handoff, SinkNodeState, SinkSet};
     pub use crate::stats::SetupReport;
     pub use wsn_chaos::{BatteryBudget, FaultPlan, FaultSpec, GeParams, GilbertElliott};
     pub use wsn_sim::radio::RadioConfig;

@@ -13,10 +13,11 @@
 //!   others' traffic downhill ([`crate::routing::Gradient`]), fuse
 //!   duplicates, process revocations, answer join requests, refresh keys.
 //!
-//! There is one forwarding path. Data, beacons and ACKs are handled once,
-//! keyed by a [`Route`] that names which gradient a frame descends (the
-//! base station's, or a sink's in multi-sink mode), and every Step-2
-//! frame this node sends is sealed by one helper, `seal`.
+//! There is one routing model and one forwarding path. A node keeps one
+//! gradient per sink ([`Gradients`]; a single-sink deployment's base
+//! station is sink 0). Data, beacons and ACKs are handled once, keyed by
+//! the [`Route`] (sink id) a frame descends, and every Step-2 frame this
+//! node sends is sealed by one helper, `seal`.
 
 use crate::config::{CounterMode, ProtocolConfig, RefreshMode};
 use crate::error::ProtocolError;
@@ -31,8 +32,7 @@ use crate::msg::{ClusterId, DataUnit, Inner, Message};
 use crate::recovery::{self, RecoveryState, RetxEntry, RetxKind};
 use crate::refresh;
 use crate::resource::{self, Admission, ResourceState};
-use crate::routing::{Gradient, Route};
-use crate::sink::SinkTable;
+use crate::routing::{Gradients, Route};
 use crate::transport::Transport;
 use bytes::Bytes;
 use rand::Rng;
@@ -197,9 +197,8 @@ impl NeighborKeys {
 }
 
 /// State of the subsystems a default-config run never touches —
-/// self-healing recovery, multi-sink routing, revocation and the fusion
-/// envelope — allocated on first use, so an idle sensor pays one pointer
-/// for all of it.
+/// self-healing recovery, revocation and the fusion envelope — allocated
+/// on first use, so an idle sensor pays one pointer for all of it.
 #[derive(Debug)]
 struct Extras {
     /// Self-healing recovery state (inert unless `cfg.recovery.enabled`).
@@ -207,8 +206,6 @@ struct Extras {
     /// Absolute heartbeat horizon: `cfg.recovery.heartbeat_until` until a
     /// driver sets it (see [`ProtocolNode::set_heartbeat_horizon`]).
     heartbeat_until: SimTime,
-    /// Per-sink gradients (empty unless `cfg.sinks.enabled`).
-    sink_table: SinkTable,
     /// Fusion-mode redundancy envelope (only consulted when
     /// `cfg.fusion_suppression` is on).
     peek: PeekAggregator,
@@ -226,8 +223,6 @@ struct Extras {
 
 /// What [`ProtocolNode::recovery_state`] shows before the layer ran.
 static IDLE_RECOVERY: RecoveryState = RecoveryState::IDLE;
-/// What [`ProtocolNode::sink_table`] shows before any `SinkBeacon`.
-static NO_SINKS: SinkTable = SinkTable::EMPTY;
 
 /// The protocol state machine for one sensor node.
 pub struct ProtocolNode {
@@ -242,7 +237,8 @@ pub struct ProtocolNode {
     seq: u64,
     /// Step-1 end-to-end counter shared with the base station.
     e2e_ctr: u64,
-    gradient: Gradient,
+    /// Our distance to each sink.
+    gradients: Gradients,
     dedup: DedupCache,
     /// Optional-subsystem state, `None` until first used.
     extras: Option<Box<Extras>>,
@@ -278,6 +274,7 @@ impl ProtocolNode {
     pub fn new(cfg: impl Into<Arc<ProtocolConfig>>, keys: NodeKeyMaterial) -> Self {
         let cfg = cfg.into();
         let dedup = DedupCache::new(cfg.dedup_cache);
+        let gradients = Gradients::new(cfg.sinks.k());
         ProtocolNode {
             cfg,
             keys,
@@ -287,7 +284,7 @@ impl ProtocolNode {
             neighbor_keys: NeighborKeys::default(),
             seq: 0,
             e2e_ctr: 0,
-            gradient: Gradient::default(),
+            gradients,
             dedup,
             extras: None,
             revoked: false,
@@ -345,22 +342,17 @@ impl ProtocolNode {
         self.neighbor_keys.0.iter().map(|&(c, _)| c).collect()
     }
 
-    /// Hop distance to the base station (`u32::MAX` before any beacon).
-    pub fn hops_to_bs(&self) -> u32 {
-        self.gradient.hops()
-    }
-
-    /// Per-sink gradient table (empty unless multi-sink is enabled and a
-    /// `SinkBeacon` has been heard).
-    pub fn sink_table(&self) -> &SinkTable {
-        self.extras.as_ref().map_or(&NO_SINKS, |x| &x.sink_table)
+    /// Hop distance to sink `sink` (`u32::MAX` before any beacon from
+    /// it). The base station of a single-sink deployment is sink 0.
+    pub fn hops_to(&self, sink: u32) -> u32 {
+        self.gradients.get(Route(sink)).hops()
     }
 
     /// The sink this node currently routes to, with its hop distance:
-    /// minimum `(hops, sink_id)` over established per-sink gradients.
-    /// `None` before any `SinkBeacon` (or in single-sink mode).
+    /// minimum `(hops, sink_id)` over established gradients. `None`
+    /// before any beacon.
     pub fn nearest_sink(&self) -> Option<(u32, u32)> {
-        self.sink_table().nearest()
+        self.gradients.nearest()
     }
 
     /// Whether `Km` is still in memory (setup phase).
@@ -399,7 +391,6 @@ impl ProtocolNode {
             Box::new(Extras {
                 recovery: RecoveryState::default(),
                 heartbeat_until,
-                sink_table: SinkTable::default(),
                 peek: PeekAggregator::default(),
                 revoke_seen: HashSet::new(),
                 pending_announces: HashMap::new(),
@@ -481,10 +472,7 @@ impl ProtocolNode {
     /// propagate on improvement, so stale gradients would stop the flood
     /// before it reaches newcomers).
     pub fn reset_gradient(&mut self) {
-        self.gradient = Gradient::default();
-        if let Some(x) = self.extras.as_mut() {
-            x.sink_table.reset();
-        }
+        self.gradients.reset();
     }
 
     /// Applies a hash refresh locally: own key and every key in `S` roll
@@ -518,7 +506,7 @@ impl ProtocolNode {
             epoch: self.epoch + 1,
             new_kc,
         };
-        let frame = self.seal(cid, old_kc, Route::Bs, now, &inner);
+        let frame = self.seal(cid, old_kc, self.legacy_route(), now, &inner);
         if self.cfg.recovery.enabled {
             // Acknowledged refresh: track the broadcast until the first
             // member confirms. ACKs will arrive under the key being
@@ -538,7 +526,7 @@ impl ProtocolNode {
             let entry = RetxEntry {
                 frame: frame.clone(),
                 kind: RetxKind::Refresh,
-                route: Route::Bs,
+                route: self.legacy_route(),
                 attempt: 0,
                 deadline: now + self.cfg.recovery.retx_base,
                 repaired: false,
@@ -572,7 +560,7 @@ impl ProtocolNode {
         inner: &Inner,
     ) -> Bytes {
         let seq = self.next_seq();
-        let hops = self.gradient_on(route).hops();
+        let hops = self.gradients.get(route).hops();
         wrap_frame(
             self.sealers.get(&key),
             cid,
@@ -584,13 +572,9 @@ impl ProtocolNode {
         )
     }
 
-    /// Our gradient along `route`: the base-station gradient, or the one
-    /// toward the named sink (unestablished if never heard from).
-    fn gradient_on(&self, route: Route) -> Gradient {
-        match route {
-            Route::Bs => self.gradient,
-            Route::Sink(sink) => Gradient::at(self.sink_table().hops_to(sink)),
-        }
+    /// The route the legacy wire tags name (see [`Route::legacy`]).
+    fn legacy_route(&self) -> Route {
+        Route::legacy(&self.cfg.sinks)
     }
 
     // --- phase machinery -----------------------------------------------
@@ -688,15 +672,16 @@ impl ProtocolNode {
         let dkey = unit.dedup_key();
         self.dedup.insert(dkey);
         self.stats.originated += 1;
-        // Multi-sink: address the unit to the nearest sink (deterministic
-        // tie-break by sink id inside `nearest`), so forwarders apply the
-        // per-sink downhill rule. Before any SinkBeacon arrives (always,
-        // in single-sink mode), use the base-station gradient.
+        // Address the unit to the nearest sink (deterministic tie-break by
+        // sink id inside `nearest`), so forwarders apply that sink's
+        // downhill rule. Before any beacon arrives, send it along the
+        // legacy route.
         let route = self
-            .sink_table()
+            .gradients
             .nearest()
-            .map_or(Route::Bs, |(sink, _)| Route::Sink(sink));
-        if let Some(frame) = self.broadcast_wrapped(ctx, route, &route.data(unit)) {
+            .map_or(self.legacy_route(), |(sink, _)| Route(sink));
+        let inner = route.data(&self.cfg.sinks, unit);
+        if let Some(frame) = self.broadcast_wrapped(ctx, route, &inner) {
             self.enroll_retx(ctx, dkey, frame, RetxKind::Data, route);
         }
     }
@@ -901,20 +886,20 @@ impl ProtocolNode {
         inner: Inner,
         sender_hops: u32,
     ) {
+        let legacy = self.legacy_route();
         match inner {
             Inner::SinkBeacon { .. } | Inner::SinkData { .. } if !self.cfg.sinks.enabled => {
                 self.stats.drops.wrong_phase += 1;
             }
-            Inner::Beacon => self.handle_beacon(ctx, Route::Bs, outer_cid, sender_hops),
+            Inner::Beacon => self.handle_beacon(ctx, legacy, outer_cid, sender_hops),
             Inner::SinkBeacon { sink } => {
-                self.handle_beacon(ctx, Route::Sink(sink), outer_cid, sender_hops)
+                self.handle_beacon(ctx, Route(sink), outer_cid, sender_hops)
             }
             Inner::Data(unit) => {
-                self.handle_data(ctx, Route::Bs, unit, sender_hops, outer_cid, outer_key)
+                self.handle_data(ctx, legacy, unit, sender_hops, outer_cid, outer_key)
             }
             Inner::SinkData { sink, unit } => {
-                let route = Route::Sink(sink);
-                self.handle_data(ctx, route, unit, sender_hops, outer_cid, outer_key)
+                self.handle_data(ctx, Route(sink), unit, sender_hops, outer_cid, outer_key)
             }
             Inner::RefreshHello { epoch, new_kc } => {
                 self.handle_refresh_hello(ctx, outer_cid, epoch, new_kc)
@@ -942,15 +927,8 @@ impl ProtocolNode {
             // hop, so only those may teach us a distance.
             return;
         }
-        let improved = match route {
-            Route::Bs => self.gradient.observe_beacon(sender_hops),
-            Route::Sink(sink) => self
-                .extras_mut()
-                .sink_table
-                .observe_beacon(sink, sender_hops),
-        };
-        if improved {
-            self.broadcast_wrapped(ctx, route, &route.beacon());
+        if self.gradients.observe_beacon(route, sender_hops) {
+            self.broadcast_wrapped(ctx, route, &route.beacon(&self.cfg.sinks));
         }
     }
 
@@ -968,7 +946,7 @@ impl ProtocolNode {
     ) {
         let rec_on = self.cfg.recovery.enabled;
         let dkey = unit.dedup_key();
-        let downhill = self.gradient_on(route).should_forward(sender_hops) && !self.muted;
+        let downhill = self.gradients.get(route).should_forward(sender_hops) && !self.muted;
         // Implicit ACK: a node strictly closer along the route just
         // rebroadcast a unit we still hold pending — custody has moved
         // downhill even if the explicit ACK was lost.
@@ -1007,7 +985,8 @@ impl ProtocolNode {
             if rec_on {
                 self.send_ack(ctx, route, outer_cid, outer_key, dkey);
             }
-            if let Some(frame) = self.broadcast_wrapped(ctx, route, &route.data(unit)) {
+            let inner = route.data(&self.cfg.sinks, unit);
+            if let Some(frame) = self.broadcast_wrapped(ctx, route, &inner) {
                 self.enroll_retx(ctx, dkey, frame, RetxKind::Data, route);
             }
         }
@@ -1035,7 +1014,8 @@ impl ProtocolNode {
                 // once updated, duplicates carry epoch == self.epoch.
                 if let (Some(cid), Some(old_kc)) = (self.cid, self.cluster_key) {
                     let inner = Inner::RefreshHello { epoch, new_kc };
-                    let frame = self.seal(cid, old_kc, Route::Bs, ctx.now(), &inner);
+                    let route = self.legacy_route();
+                    let frame = self.seal(cid, old_kc, route, ctx.now(), &inner);
                     ctx.broadcast(frame);
                     if self.cfg.recovery.enabled {
                         // Confirm receipt to the head — necessarily under
@@ -1043,7 +1023,7 @@ impl ProtocolNode {
                         // epoch for exactly this) — and keep the old key
                         // ourselves for stragglers' ACKs.
                         let ack_key = recovery::refresh_ack_key(cid, epoch);
-                        self.send_ack(ctx, Route::Bs, cid, old_kc, ack_key);
+                        self.send_ack(ctx, route, cid, old_kc, ack_key);
                         self.recovery_mut().prev_cluster_key = Some(old_kc);
                     }
                 }
@@ -1416,7 +1396,7 @@ impl ProtocolNode {
             Some(entry) => entry.route,
             None => return false,
         };
-        sender_hops < self.gradient_on(route).hops() && self.recovery_ack(key)
+        sender_hops < self.gradients.get(route).hops() && self.recovery_ack(key)
     }
 
     fn on_retx_timer(&mut self, ctx: &mut impl Transport) {
@@ -1458,11 +1438,14 @@ impl ProtocolNode {
         self.arm_retx_timer(ctx);
     }
 
-    /// Retry exhaustion: stop trusting the gradient, ask the neighborhood
-    /// for a scoped re-flood, and give the frame one more retry cycle.
+    /// Retry exhaustion: stop trusting the gradient toward the frame's
+    /// sink, ask the neighborhood for a scoped re-flood, and give the
+    /// frame one more retry cycle.
     fn start_route_repair(&mut self, ctx: &mut impl Transport, key: u64, mut entry: RetxEntry) {
-        self.gradient.invalidate();
-        self.broadcast_wrapped(ctx, Route::Bs, &Inner::RouteRequest);
+        if let Some(g) = self.gradients.get_mut(entry.route) {
+            g.invalidate();
+        }
+        self.broadcast_wrapped(ctx, self.legacy_route(), &Inner::RouteRequest);
         self.stats.route_repairs += 1;
         entry.repaired = true;
         entry.attempt = 0;
@@ -1471,10 +1454,10 @@ impl ProtocolNode {
         self.recovery_mut().pending.insert(key, entry);
     }
 
-    /// Answers a RouteRequest with a scoped beacon under the *requester's*
-    /// cluster key — decrypting the request proves we hold that key, and
-    /// answering proves a live path: exactly the two properties a first
-    /// hop needs.
+    /// Answers a RouteRequest with one scoped beacon per sink we hold a
+    /// gradient to, under the *requester's* cluster key — decrypting the
+    /// request proves we hold that key, and answering proves a live path:
+    /// exactly the two properties a first hop needs.
     fn handle_route_request(
         &mut self,
         ctx: &mut impl Transport,
@@ -1483,7 +1466,7 @@ impl ProtocolNode {
     ) {
         let rec = self.cfg.recovery;
         if !rec.enabled
-            || !self.gradient.established()
+            || self.gradients.nearest().is_none()
             || self.muted
             || self.revoked
             || !self
@@ -1492,8 +1475,13 @@ impl ProtocolNode {
         {
             return;
         }
-        let frame = self.seal(outer_cid, outer_key, Route::Bs, ctx.now(), &Inner::Beacon);
-        ctx.broadcast(frame);
+        for route in (0..self.gradients.k()).map(Route) {
+            if self.gradients.get(route).established() {
+                let beacon = route.beacon(&self.cfg.sinks);
+                let frame = self.seal(outer_cid, outer_key, route, ctx.now(), &beacon);
+                ctx.broadcast(frame);
+            }
+        }
         self.recovery_mut().last_route_reply = Some(ctx.now());
     }
 
@@ -1627,7 +1615,7 @@ impl ProtocolNode {
             // Announce under the OLD cluster key — the one credential the
             // orphaned members share with us.
             let inner = Inner::NewHead { new_cid, new_kc };
-            let frame = self.seal(oc, ok, Route::Bs, ctx.now(), &inner);
+            let frame = self.seal(oc, ok, self.legacy_route(), ctx.now(), &inner);
             ctx.broadcast(frame);
         }
         ctx.trace(TraceEvent::BecameHead);
@@ -1659,7 +1647,7 @@ impl ProtocolNode {
                 return;
             };
             let inner = Inner::NewHead { new_cid, new_kc };
-            let frame = self.seal(oc, ok, Route::Bs, ctx.now(), &inner);
+            let frame = self.seal(oc, ok, self.legacy_route(), ctx.now(), &inner);
             ctx.broadcast(frame);
             self.neighbor_keys.insert(oc, ok);
             self.note_neighbor_peak();
@@ -1870,8 +1858,9 @@ impl ProtocolNode {
                             // decrypt our traffic), accept only own-cluster
                             // beacons from here on, and solicit one now.
                             self.recovery_mut().own_cid_beacons_only = true;
-                            self.gradient = Gradient::default();
-                            self.broadcast_wrapped(ctx, Route::Bs, &Inner::RouteRequest);
+                            self.gradients.reset();
+                            let route = self.legacy_route();
+                            self.broadcast_wrapped(ctx, route, &Inner::RouteRequest);
                         }
                     }
                     self.arm_auto_refresh(ctx);
@@ -1879,7 +1868,7 @@ impl ProtocolNode {
             }
             TIMER_RETX => self.on_retx_timer(ctx),
             TIMER_HEARTBEAT if self.role == Role::Head && !self.revoked => {
-                self.broadcast_wrapped(ctx, Route::Bs, &Inner::Heartbeat);
+                self.broadcast_wrapped(ctx, self.legacy_route(), &Inner::Heartbeat);
                 self.arm_heartbeat(ctx);
             }
             TIMER_HEAD_WATCH => self.on_head_watch(ctx),
@@ -2046,7 +2035,7 @@ mod tests {
         assert_eq!(n.keys_held(), 0);
         assert!(n.holds_km());
         assert!(!n.is_revoked());
-        assert_eq!(n.hops_to_bs(), u32::MAX);
+        assert_eq!(n.hops_to(0), u32::MAX);
     }
 
     #[test]

@@ -61,7 +61,7 @@ pub struct RetxEntry {
     pub kind: RetxKind,
     /// The route the frame was addressed along: an ACK clears the entry
     /// only from a sender strictly closer on it. Refresh entries use
-    /// [`Route::Bs`].
+    /// [`Route::legacy`].
     pub route: Route,
     /// Retransmissions already performed.
     pub attempt: u32,
@@ -205,7 +205,7 @@ mod tests {
         RetxEntry {
             frame: Bytes::from_static(b"frame"),
             kind: RetxKind::Data,
-            route: Route::Bs,
+            route: Route(0),
             attempt: 0,
             deadline,
             repaired: false,

@@ -259,7 +259,7 @@ mod tests {
         RetxEntry {
             frame: Bytes::from_static(b"frame"),
             kind,
-            route: crate::routing::Route::Bs,
+            route: crate::routing::Route(0),
             attempt: 0,
             deadline,
             repaired: false,

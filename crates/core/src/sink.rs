@@ -1,16 +1,15 @@
-//! Multi-sink support: per-sink gradients, nearest-sink assignment, and
-//! the partitioned base-station state that moves between sinks.
+//! Multi-sink support: nearest-sink assignment, and the partitioned
+//! base-station state that moves between sinks.
 //!
 //! The paper funnels every reading into a single base station; under
 //! contention its one-hop ring is the delivery bottleneck (see the
 //! overload figure). This module generalizes the single BS into a
 //! **sink set**: node ids `0..K` are sinks, each floods its own
-//! authenticated `SinkBeacon`, sensors keep one [`Gradient`] per sink
-//! in a [`SinkTable`] and route each reading to the *nearest* sink
-//! (deterministic tie-break by smaller sink id). Sensors forward
-//! multi-sink traffic through the same code path as single-sink traffic:
-//! a [`crate::routing::Route::Sink`] names which gradient a frame
-//! descends.
+//! authenticated `SinkBeacon`, and sensors route each reading to the
+//! *nearest* sink (deterministic tie-break by smaller sink id). There is
+//! one routing model: a node keeps one gradient per sink in a
+//! [`crate::routing::Gradients`] table, and a single-sink deployment is
+//! the k = 1 case, with the base station as sink 0.
 //!
 //! BS-side per-node state — the `Ki` registry entry and the replay
 //! counter window — is **partitioned** by node id: the home sink of
@@ -21,85 +20,16 @@
 //! *replicated* instead (every sink can unwrap any cluster's envelope;
 //! only sink 0 issues revocations) — see DESIGN.md for the tradeoff.
 //!
-//! Everything here is gated on [`SinkConfig::enabled`]: with the
-//! default config no sink state exists, no `SinkBeacon` is emitted,
-//! and single-sink runs stay byte-identical with pre-multi-sink
-//! builds.
+//! With the default config ([`SinkConfig::enabled`] off) K is 1, frames
+//! keep the legacy `Beacon`/`Data` tags, and single-sink runs stay
+//! byte-identical with pre-multi-sink builds.
 
 use crate::config::SinkConfig;
 use crate::forward::CounterWindow;
-use crate::routing::{Gradient, NO_GRADIENT};
 use std::collections::BTreeMap;
 use wsn_crypto::Key128;
 use wsn_sim::geom::Point;
 use wsn_sim::topology::{Topology, TopologyConfig};
-
-/// Per-node table of gradients, one per sink.
-///
-/// Deterministically ordered (`BTreeMap`) so that iteration — and
-/// therefore the nearest-sink choice and any re-flood ordering — is
-/// identical across runs and thread counts.
-#[derive(Clone, Debug, Default)]
-pub struct SinkTable {
-    grads: BTreeMap<u32, Gradient>,
-}
-
-impl SinkTable {
-    /// A table with no gradient to any sink.
-    pub const EMPTY: SinkTable = SinkTable {
-        grads: BTreeMap::new(),
-    };
-
-    /// Hop distance to `sink` ([`NO_GRADIENT`] if never heard from).
-    pub fn hops_to(&self, sink: u32) -> u32 {
-        self.grads.get(&sink).map_or(NO_GRADIENT, |g| g.hops())
-    }
-
-    /// Observes a `SinkBeacon` for `sink` whose sender was
-    /// `sender_hops` from that sink. Returns `true` on improvement
-    /// (re-flood the beacon with our own distance).
-    pub fn observe_beacon(&mut self, sink: u32, sender_hops: u32) -> bool {
-        self.grads
-            .entry(sink)
-            .or_default()
-            .observe_beacon(sender_hops)
-    }
-
-    /// Greedy forwarding decision toward `sink`: forward iff we are
-    /// strictly closer to that sink than the sender was.
-    pub fn should_forward(&self, sink: u32, sender_hops: u32) -> bool {
-        self.grads
-            .get(&sink)
-            .is_some_and(|g| g.should_forward(sender_hops))
-    }
-
-    /// The nearest sink: minimum `(hops, sink_id)` over established
-    /// gradients — the tie-break by smaller sink id is what makes the
-    /// assignment total and deterministic. `None` until any beacon is
-    /// heard.
-    pub fn nearest(&self) -> Option<(u32, u32)> {
-        self.grads
-            .iter()
-            .filter(|(_, g)| g.established())
-            .map(|(&sink, g)| (sink, g.hops()))
-            .min_by_key(|&(sink, hops)| (hops, sink))
-    }
-
-    /// Number of sinks with an established gradient.
-    pub fn established_count(&self) -> usize {
-        self.grads.values().filter(|g| g.established()).count()
-    }
-
-    /// Forgets every learned distance (route repair / re-beacon).
-    pub fn reset(&mut self) {
-        self.grads.clear();
-    }
-
-    /// Whether no beacon has ever been observed.
-    pub fn is_empty(&self) -> bool {
-        self.grads.is_empty()
-    }
-}
 
 /// The per-node base-station state that a handoff moves between sinks:
 /// the node's `Ki` registry entry plus its replay-counter window.
@@ -173,24 +103,9 @@ impl SinkSet {
             .collect()
     }
 
-    /// Total tracked nodes (conserved across rehomes and failovers).
-    pub fn len(&self) -> usize {
-        self.serving.len()
-    }
-
-    /// Whether no node is tracked.
-    pub fn is_empty(&self) -> bool {
-        self.serving.is_empty()
-    }
-
     /// Registers a node added after setup (joins at its home sink).
     pub fn track(&mut self, node: u32) {
         self.serving.insert(node, home_sink(node, self.k));
-    }
-
-    /// Drops an evicted node from the partition map.
-    pub fn untrack(&mut self, node: u32) {
-        self.serving.remove(&node);
     }
 
     /// Plans (and records) the rehomes implied by a nearest-sink
@@ -292,33 +207,34 @@ pub fn multi_sink_topology(n: usize, density: f64, seed: u64, sinks: &SinkConfig
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::routing::{Gradients, Route, NO_GRADIENT};
 
     #[test]
     fn nearest_prefers_fewer_hops_then_smaller_id() {
-        let mut t = SinkTable::default();
+        let mut t = Gradients::new(4);
         assert_eq!(t.nearest(), None);
-        t.observe_beacon(2, 4); // 5 hops to sink 2
-        t.observe_beacon(1, 2); // 3 hops to sink 1
+        t.observe_beacon(Route(2), 4); // 5 hops to sink 2
+        t.observe_beacon(Route(1), 2); // 3 hops to sink 1
         assert_eq!(t.nearest(), Some((1, 3)));
-        t.observe_beacon(3, 2); // 3 hops to sink 3: tie, keep smaller id
+        t.observe_beacon(Route(3), 2); // 3 hops to sink 3: tie, keep smaller id
         assert_eq!(t.nearest(), Some((1, 3)));
-        t.observe_beacon(0, 2); // 3 hops to sink 0: tie, smaller id wins
+        t.observe_beacon(Route(0), 2); // 3 hops to sink 0: tie, smaller id wins
         assert_eq!(t.nearest(), Some((0, 3)));
-        t.observe_beacon(3, 0); // 1 hop to sink 3: strictly nearer wins
+        t.observe_beacon(Route(3), 0); // 1 hop to sink 3: strictly nearer wins
         assert_eq!(t.nearest(), Some((3, 1)));
     }
 
     #[test]
     fn table_forwarding_is_per_sink() {
-        let mut t = SinkTable::default();
-        t.observe_beacon(0, 1); // 2 hops to sink 0
-        assert!(t.should_forward(0, 3));
-        assert!(!t.should_forward(0, 2));
-        assert!(!t.should_forward(1, 3)); // no gradient to sink 1 at all
+        let mut t = Gradients::new(2);
+        t.observe_beacon(Route(0), 1); // 2 hops to sink 0
+        assert!(t.get(Route(0)).should_forward(3));
+        assert!(!t.get(Route(0)).should_forward(2));
+        assert!(!t.get(Route(1)).should_forward(3)); // no gradient to sink 1 at all
+        assert!(!t.observe_beacon(Route::UNROUTED, 0)); // nor to no sink
         t.reset();
-        assert!(t.is_empty());
-        assert!(!t.should_forward(0, 9));
-        assert_eq!(t.hops_to(0), NO_GRADIENT);
+        assert!(!t.get(Route(0)).should_forward(9));
+        assert_eq!(t.get(Route(0)).hops(), NO_GRADIENT);
     }
 
     #[test]
@@ -326,9 +242,8 @@ mod tests {
         let k = 4;
         let set = SinkSet::new(k, 4..40);
         for sink in 0..k {
-            assert!(!set.nodes_served_by(sink).is_empty());
+            assert_eq!(set.nodes_served_by(sink).len(), 9); // 36 nodes in all
         }
-        assert_eq!(set.len(), 36);
         assert_eq!(set.serving(7), Some(3));
         assert_eq!(set.serving(3), None); // ids below 4 are sinks, untracked
     }
@@ -355,11 +270,10 @@ mod tests {
     #[test]
     fn failover_conserves_entries() {
         let mut set = SinkSet::new(3, 3..30);
-        let before = set.len();
         let moves = set.plan_failover(1, |_| 0);
-        assert!(!moves.is_empty());
-        assert_eq!(set.len(), before);
+        assert_eq!(moves.len(), 9);
         assert!(set.nodes_served_by(1).is_empty());
+        assert_eq!(set.nodes_served_by(0).len(), 18); // its own 9 + the moved 9
         for m in &moves {
             assert_eq!(m.from, 1);
             assert_eq!(m.to, 0);

@@ -7,9 +7,11 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
 use wsn_core::forward::{sealer, wrap_frame};
-use wsn_core::msg::{Inner, MAX_FRAME_BYTES};
-use wsn_core::node::{PendingReading, TIMER_SEND};
+use wsn_core::join::join_tag;
+use wsn_core::msg::{Inner, Message, MAX_FRAME_BYTES};
+use wsn_core::node::{PendingReading, TIMER_JOIN, TIMER_RETX, TIMER_SEND};
 use wsn_core::prelude::*;
+use wsn_core::refresh::cluster_key_at_epoch;
 use wsn_core::routing::NO_GRADIENT;
 use wsn_core::setup::SetupParams;
 use wsn_core::transport::Transport;
@@ -115,7 +117,7 @@ fn kill_sink_and_check(k: u32, dead: u32, seed: u64) {
         .iter()
         .map(|&s| h.sink(s).registered_nodes().len())
         .sum();
-    let served_by_dead = h.sink_set().unwrap().nodes_served_by(dead);
+    let served_by_dead = h.sink_set().nodes_served_by(dead);
     assert!(
         !served_by_dead.is_empty(),
         "dead sink served nobody (K = {k})"
@@ -133,7 +135,7 @@ fn kill_sink_and_check(k: u32, dead: u32, seed: u64) {
     assert_eq!(union_before, union_after);
     assert_eq!(h.sink(dead).registered_nodes(), vec![dead]);
     for node in &served_by_dead {
-        let now_at = h.sink_set().unwrap().serving(*node).unwrap();
+        let now_at = h.sink_set().serving(*node).unwrap();
         assert_ne!(now_at, dead, "node {node} still homed at the dead sink");
     }
 
@@ -143,7 +145,7 @@ fn kill_sink_and_check(k: u32, dead: u32, seed: u64) {
     h.establish_gradient();
     for id in h.sensor_ids() {
         assert_eq!(
-            h.sensor(id).sink_table().hops_to(dead),
+            h.sensor(id).hops_to(dead),
             NO_GRADIENT,
             "node {id} still routes to dead sink {dead} (K = {k})"
         );
@@ -352,6 +354,206 @@ fn same_distance_ack_keeps_custody_toward_a_sink() {
         !node.recovery_state().pending.contains_key(&key),
         "custody kept on an ACK from one hop closer"
     );
+}
+
+/// Route repair toward a sink: a custodian whose retries toward its
+/// nearest sink run out forgets that sink's gradient and solicits a
+/// scoped re-flood. The sink's reply re-teaches the gradient, and the
+/// retransmitted `SinkData` is then accepted by that sink.
+#[test]
+fn exhausted_retries_repair_the_route_to_a_sink() {
+    let mut h = Scenario::new(SetupParams {
+        n: 60,
+        density: 12.0,
+        seed: 2005,
+        cfg: ProtocolConfig::default()
+            .with_sinks(2)
+            .with_recovery(RecoveryConfig::default()),
+    })
+    .run()
+    .handle;
+    h.establish_gradient();
+    h.rehome_to_nearest();
+    let src = h
+        .sensor_ids()
+        .into_iter()
+        .find(|&id| {
+            let n = h.sensor(id);
+            n.cid().is_some() && n.nearest_sink().is_some_and(|(_, hops)| hops == 1)
+        })
+        .expect("a clustered sensor one hop from its sink");
+    let (sink, _) = h.sensor(src).nearest_sink().unwrap();
+    let mut t = Probe {
+        id: src,
+        now: h.sim().now(),
+        rng: StdRng::seed_from_u64(1),
+        sent: Vec::new(),
+    };
+    let node = h.sensor_mut(src);
+    node.queue_reading(PendingReading {
+        data: vec![9; 8],
+        sealed: true,
+    });
+    node.dispatch_timer(&mut t, TIMER_SEND);
+    let reading = t.sent.pop().expect("the reading was not sent");
+    // No ACK ever arrives: let every retry fall due until the repair.
+    for _ in 0..16 {
+        if node.stats.route_repairs > 0 {
+            break;
+        }
+        t.now = node.recovery_state().next_deadline().expect("custody");
+        node.dispatch_timer(&mut t, TIMER_RETX);
+    }
+    assert_eq!(node.stats.route_repairs, 1, "retries never ran out");
+    assert_eq!(
+        node.hops_to(sink),
+        NO_GRADIENT,
+        "repair kept the gradient toward sink {sink}"
+    );
+    let request = t.sent.pop().expect("no RouteRequest");
+    assert!(
+        t.sent.iter().all(|f| *f == reading),
+        "retries are not byte-identical"
+    );
+
+    let mut at_sink = Probe {
+        id: sink,
+        now: t.now,
+        rng: StdRng::seed_from_u64(2),
+        sent: Vec::new(),
+    };
+    h.sink_mut(sink).dispatch_message(&mut at_sink, &request);
+    let reply = at_sink
+        .sent
+        .pop()
+        .expect("the sink did not answer the RouteRequest");
+    let node = h.sensor_mut(src);
+    node.dispatch_message(&mut t, sink, &reply);
+    assert_eq!(
+        node.hops_to(sink),
+        1,
+        "the reply did not re-teach the gradient"
+    );
+
+    t.now = node
+        .recovery_state()
+        .next_deadline()
+        .expect("custody survives the repair");
+    t.sent.clear();
+    node.dispatch_timer(&mut t, TIMER_RETX);
+    assert_eq!(
+        t.sent,
+        vec![reading.clone()],
+        "no retransmission after the repair"
+    );
+    let before = h.sink(sink).received.len();
+    h.sink_mut(sink).dispatch_message(&mut at_sink, &reading);
+    let received = &h.sink(sink).received;
+    assert_eq!(
+        received.len(),
+        before + 1,
+        "sink {sink} refused the retransmission"
+    );
+    assert_eq!(received.last().unwrap().src, src);
+}
+
+/// A joiner holds no cluster key before `TIMER_JOIN`, so it starts its
+/// membership with no route to any sink and solicits one under its new
+/// cluster key. Only own-cluster beacons may teach it a distance; a
+/// clustermate answers with one beacon per sink it has a gradient to.
+#[test]
+fn multi_sink_joiner_learns_routes_from_its_own_cluster() {
+    let seed = 2005;
+    let mut h = Scenario::new(SetupParams {
+        n: 60,
+        density: 12.0,
+        seed,
+        cfg: ProtocolConfig::default()
+            .with_sinks(2)
+            .with_recovery(RecoveryConfig::default()),
+    })
+    .run()
+    .handle;
+    h.establish_gradient();
+    // A clustermate-to-be with a route to both sinks and a neighbouring
+    // cluster whose key the joiner will also hold.
+    let mate = h
+        .sensor_ids()
+        .into_iter()
+        .find(|&id| {
+            let n = h.sensor(id);
+            n.cid().is_some()
+                && !n.neighbor_cids().is_empty()
+                && (0..2).all(|s| n.hops_to(s) != NO_GRADIENT)
+        })
+        .expect("a clustered sensor with routes to both sinks");
+    let keys = h.sensor(mate).extract_keys();
+    let (own_cid, _) = keys.cluster.unwrap();
+    let (other_cid, other_kc) = keys.neighbor_keys[0];
+
+    // Scenarios provision from stream 1 of the master seed.
+    let mut p = Provisioner::new(wsn_sim::rng::derive_seed(seed, 1));
+    let kmc = p.kmc();
+    let id = 1_000;
+    let mut joiner = ProtocolNode::new_joiner(h.cfg().clone(), p.provision_new_node(id));
+    let now = h.sim().now();
+    let mut t = Probe {
+        id,
+        now,
+        rng: StdRng::seed_from_u64(3),
+        sent: Vec::new(),
+    };
+    joiner.dispatch_start(&mut t);
+    for (from, cid) in [(mate, own_cid), (mate + 1, other_cid)] {
+        let kc = cluster_key_at_epoch(&kmc, cid, 0);
+        let tag = join_tag(&kc, cid, id, 0);
+        let response = Message::JoinResponse { cid, epoch: 0, tag }.encode();
+        joiner.dispatch_message(&mut t, from, &response);
+    }
+    joiner.dispatch_timer(&mut t, TIMER_JOIN);
+    assert_eq!(joiner.role(), Role::Member);
+    assert_eq!(joiner.cid(), Some(own_cid));
+    for s in 0..2 {
+        assert_eq!(
+            joiner.hops_to(s),
+            NO_GRADIENT,
+            "joined with a hop count to sink {s}"
+        );
+    }
+    let request = t.sent.pop().expect("no RouteRequest after joining");
+
+    // A beacon under a neighbouring cluster's key teaches nothing.
+    let foreign = wrap_frame(
+        &sealer(&other_kc),
+        other_cid,
+        mate + 1,
+        0,
+        now,
+        0,
+        &Inner::SinkBeacon { sink: 0 },
+    );
+    joiner.dispatch_message(&mut t, mate + 1, &foreign);
+    assert_eq!(
+        joiner.hops_to(0),
+        NO_GRADIENT,
+        "learned from a foreign cluster"
+    );
+
+    let mut at_mate = Probe {
+        id: mate,
+        now,
+        rng: StdRng::seed_from_u64(4),
+        sent: Vec::new(),
+    };
+    h.sensor_mut(mate)
+        .dispatch_message(&mut at_mate, id, &request);
+    assert_eq!(at_mate.sent.len(), 2, "expected one reply beacon per sink");
+    for reply in &at_mate.sent {
+        joiner.dispatch_message(&mut t, mate, reply);
+    }
+    for s in 0..2 {
+        assert_eq!(joiner.hops_to(s), h.sensor(mate).hops_to(s) + 1);
+    }
 }
 
 /// `with_sinks(1)` uses the multi-sink machinery (grid placement,

@@ -1,9 +1,9 @@
 //! Decomposition-independence of the sharded backend at the *protocol*
 //! level: a `Backend::Sim { shards: Fixed(k) }` scenario must produce
 //! byte-identical protocol-visible outcomes for every region count `k`
-//! — roles, cluster membership, key tables, `Km` erasure, gradients,
-//! and the base station's accepted-reading log — across default, lossy,
-//! recovery, and multi-sink configurations.
+//! — roles, cluster membership, key tables, `Km` erasure, every sink's
+//! gradient, and every sink's accepted-reading log — across default,
+//! lossy, recovery, and multi-sink configurations.
 //!
 //! The engine-level shard tests (`wsn_sim::shard`) pin raw event
 //! streams equal; these tests pin the thing users observe: the network
@@ -13,7 +13,7 @@
 //! (`Shards::Single`), which draws from a different RNG discipline.
 
 use proptest::prelude::*;
-use wsn_core::config::{RecoveryConfig, SinkConfig};
+use wsn_core::config::RecoveryConfig;
 use wsn_core::node::Role;
 use wsn_core::prelude::*;
 use wsn_core::setup::Backend;
@@ -23,12 +23,12 @@ use wsn_sim::shard::Shards;
 const N: usize = 60;
 const DENSITY: f64 = 10.0;
 
-/// Everything protocol-visible after setup + gradient + one reading
-/// per cluster head.
+/// Everything protocol-visible after setup + gradient + re-homing + one
+/// reading per cluster head.
 type Snapshot = (
     Vec<(Role, Option<u32>, usize, Vec<u32>, bool, u32)>, // per-sensor state
-    Vec<u32>,                                             // gradient depths
-    Vec<(u32, Vec<u8>, Option<u64>)>,                     // BS reading log
+    Vec<Vec<u32>>,                                        // hops to each sink
+    Vec<Vec<(u32, Vec<u8>, Option<u64>)>>,                // each sink's log
     u64,                                                  // total radio tx
     f64,                                                  // report: keys/node
 );
@@ -65,10 +65,17 @@ fn snapshot(seed: u64, cfg: ProtocolConfig, radio: RadioConfig, k: usize) -> Sna
         .collect();
 
     handle.establish_gradient();
-    let gradients: Vec<u32> = handle
+    handle.rehome_to_nearest();
+    let sinks = handle.sink_ids();
+    let gradients: Vec<Vec<u32>> = handle
         .sensor_ids()
         .into_iter()
-        .map(|id| handle.sensor(id).hops_to_bs())
+        .map(|id| {
+            sinks
+                .iter()
+                .map(|&k| handle.sensor(id).hops_to(k))
+                .collect()
+        })
         .collect();
 
     let heads: Vec<u32> = handle
@@ -81,11 +88,16 @@ fn snapshot(seed: u64, cfg: ProtocolConfig, radio: RadioConfig, k: usize) -> Sna
         handle.send_reading(src, data, true);
     }
 
-    let received = handle
-        .bs()
-        .received
+    let received = sinks
         .iter()
-        .map(|r| (r.src, r.data.clone(), r.ctr))
+        .map(|&k| {
+            handle
+                .sink(k)
+                .received
+                .iter()
+                .map(|r| (r.src, r.data.clone(), r.ctr))
+                .collect()
+        })
         .collect();
     let tx = handle.sim().counters().total_tx_msgs();
     (sensors, gradients, received, tx, report_keys)
@@ -120,6 +132,16 @@ fn multi_sink_identical_across_shard_counts() {
         let cfg = || ProtocolConfig::default().with_sinks(k_sinks);
         let seed = 2005 + k_sinks as u64;
         let base = snapshot(seed, cfg(), RadioConfig::default(), 1);
+        // The snapshot must see the multi-sink routes: every sink has a
+        // gradient somewhere, and more than one sink accepted readings.
+        for k in 0..k_sinks as usize {
+            assert!(
+                base.1.iter().any(|hops| hops[k] != u32::MAX),
+                "no sensor routes to sink {k} (K = {k_sinks})"
+            );
+        }
+        let busy = base.2.iter().filter(|log| !log.is_empty()).count();
+        assert!(busy >= 2, "{busy} of {k_sinks} sinks accepted readings");
         let other = snapshot(seed, cfg(), RadioConfig::default(), 4);
         assert_eq!(base, other, "multi-sink K = {k_sinks} diverged");
     }
@@ -137,17 +159,4 @@ proptest! {
         let other = snapshot(seed, cfg(), RadioConfig::default(), 4);
         prop_assert_eq!(base, other, "seed {} diverged between k = 1 and k = 4", seed);
     }
-}
-
-/// `with_sinks` smoke-check used above exists on ProtocolConfig; keep
-/// the SinkConfig import honest for the multi-sink variant.
-#[test]
-fn sink_config_roundtrips_through_builder() {
-    let cfg = ProtocolConfig::default().with_sinks(3);
-    assert_eq!(
-        (cfg.sinks.enabled, cfg.sinks.count),
-        (true, 3),
-        "{:?}",
-        SinkConfig::default()
-    );
 }

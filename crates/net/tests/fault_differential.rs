@@ -93,7 +93,7 @@ fn workout(faults: Option<FaultConfig>) -> Outcome {
     }
     let counters = h.sim().counters();
     Outcome {
-        received: h.bs().received.clone(),
+        received: h.sink(0).received.clone(),
         tx_msgs: counters.total_tx_msgs(),
         rx_msgs: counters.rx_msgs.iter().sum(),
         events: h.sim().events_processed(),

@@ -41,7 +41,7 @@ fn main() {
             .send_reading(probe, format!("epoch {epoch} ping").into_bytes(), true);
         println!(
             "  reading at epoch {epoch}: delivered ({} total at BS)",
-            outcome.handle.bs().received.len()
+            outcome.handle.sink(0).received.len()
         );
     }
 
@@ -64,12 +64,12 @@ fn main() {
     outcome.handle.establish_gradient();
     if let Some(&newbie) = new_ids.iter().find(|&&id| {
         outcome.handle.sensor(id).role() == Role::Member
-            && outcome.handle.sensor(id).hops_to_bs() != u32::MAX
+            && outcome.handle.sensor(id).hops_to(0) != u32::MAX
     }) {
         outcome
             .handle
             .send_reading(newbie, b"newcomer checking in".to_vec(), true);
-        let r = outcome.handle.bs().received.last().unwrap();
+        let r = outcome.handle.sink(0).received.last().unwrap();
         println!(
             "newcomer {} delivered its first sealed reading: {:?}",
             r.src,

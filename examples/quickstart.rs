@@ -50,7 +50,7 @@ fn main() {
         .send_reading(far, b"temperature=21.5C".to_vec(), true);
 
     // 4. The base station decrypted and verified it end-to-end.
-    let bs = outcome.handle.bs();
+    let bs = outcome.handle.sink(0);
     let reading = bs.received.last().expect("delivered");
     println!(
         "base station received from node {}: {:?} (counter {:?})",

@@ -38,7 +38,7 @@ fn main() {
             .handle
             .send_reading(src, format!("T={temp:.1}").into_bytes(), false);
     }
-    let delivered = outcome.handle.bs().received.len();
+    let delivered = outcome.handle.sink(0).received.len();
     println!(
         "fusion wave: {}/{} readings delivered (unsealed — forwarders could peek)",
         delivered,
@@ -82,11 +82,11 @@ fn main() {
     );
 
     // The evicted node's reports are now refused...
-    let before = outcome.handle.bs().received.len();
+    let before = outcome.handle.sink(0).received.len();
     outcome
         .handle
         .send_reading(compromised, b"T=99.9".to_vec(), false);
-    assert_eq!(outcome.handle.bs().received.len(), before);
+    assert_eq!(outcome.handle.sink(0).received.len(), before);
     println!("evicted node's report: refused by the base station");
 
     // ...while a healthy sensor still gets through, end-to-end sealed this
@@ -96,7 +96,7 @@ fn main() {
         outcome
             .handle
             .send_reading(healthy, b"T=20.1 (sealed)".to_vec(), true);
-        let r = outcome.handle.bs().received.last().unwrap();
+        let r = outcome.handle.sink(0).received.last().unwrap();
         println!(
             "healthy node {}: sealed reading delivered ({:?})",
             r.src,

@@ -42,9 +42,9 @@ fn capture_evict_repair_storyline() {
         CloneOutcome::Rejected,
         "post-eviction, the clone must be inert even at home"
     );
-    let bs_count = o.handle.bs().received.len();
+    let bs_count = o.handle.sink(0).received.len();
     o.handle.send_reading(victim, b"zombie".to_vec(), true);
-    assert_eq!(o.handle.bs().received.len(), bs_count);
+    assert_eq!(o.handle.sink(0).received.len(), bs_count);
 
     // 5. Repair: fresh nodes fill the revoked hole and are operational.
     let new_ids = o.handle.add_nodes(8);

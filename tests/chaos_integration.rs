@@ -154,7 +154,7 @@ fn empty_plan_is_invisible() {
     chaotic.send_reading(src, b"probe".to_vec(), true);
 
     assert_eq!(report.total_faults(), 0);
-    assert_eq!(plain.bs().received.len(), chaotic.bs().received.len());
+    assert_eq!(plain.sink(0).received.len(), chaotic.sink(0).received.len());
     assert_eq!(
         plain.sim().counters().total_tx_msgs(),
         chaotic.sim().counters().total_tx_msgs()

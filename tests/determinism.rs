@@ -45,7 +45,7 @@ fn full_steady_state_replay_is_identical() {
         o.handle.refresh();
         o.handle.send_reading(src, b"y".to_vec(), true);
         (
-            o.handle.bs().received.clone(),
+            o.handle.sink(0).received.clone(),
             o.handle.total_tx(),
             o.handle.sim().now(),
         )

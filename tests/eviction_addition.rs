@@ -60,11 +60,11 @@ fn base_station_refuses_evicted_node() {
     o.handle.establish_gradient();
     let victim = o.handle.sensor_ids()[5];
     o.handle.evict_nodes(&[victim]);
-    let before = o.handle.bs().received.len();
+    let before = o.handle.sink(0).received.len();
     // The evicted node tries to report (its cluster key is gone, but even a
     // clone with the old Ki must be refused at the BS).
     o.handle.send_reading(victim, b"evil".to_vec(), true);
-    assert_eq!(o.handle.bs().received.len(), before);
+    assert_eq!(o.handle.sink(0).received.len(), before);
 }
 
 #[test]
@@ -108,7 +108,7 @@ fn hash_refresh_rolls_keys_and_keeps_delivering() {
 
     let n = o.handle.send_reading(src, b"post-refresh".to_vec(), true);
     assert_eq!(n, 1);
-    assert_eq!(o.handle.bs().received[0].data, b"post-refresh");
+    assert_eq!(o.handle.sink(0).received[0].data, b"post-refresh");
 }
 
 #[test]
@@ -141,7 +141,7 @@ fn multiple_refresh_epochs_stack() {
     }
     let src = o.handle.sensor_ids()[4];
     assert_eq!(o.handle.sensor(src).epoch(), 3);
-    assert_eq!(o.handle.bs().epoch(), 3);
+    assert_eq!(o.handle.sink(0).epoch(), 3);
     let n = o.handle.send_reading(src, b"epoch3".to_vec(), true);
     assert_eq!(n, 1);
 }
@@ -214,14 +214,14 @@ fn joined_node_can_report_to_base_station() {
         "all 5 joiners must become members"
     );
     for &id in &members {
-        let before = o.handle.bs().received.len();
+        let before = o.handle.sink(0).received.len();
         o.handle
             .send_reading(id, format!("newcomer-{id}").into_bytes(), true);
         assert!(
-            o.handle.bs().received.len() > before,
+            o.handle.sink(0).received.len() > before,
             "joiner {id} could not reach the base station"
         );
-        let r = o.handle.bs().received.last().unwrap();
+        let r = o.handle.sink(0).received.last().unwrap();
         assert_eq!(r.src, id);
         assert_eq!(r.data, format!("newcomer-{id}").into_bytes());
     }
@@ -331,9 +331,9 @@ fn retained_reboot_misses_epochs_then_recovers_by_catch_up() {
         // Current-epoch traffic washes over the rebooted node (a beacon
         // flood, re-wrapped hop by hop under its neighbors' rolled keys).
         o.handle.establish_gradient();
-        let before = o.handle.bs().received.len();
+        let before = o.handle.sink(0).received.len();
         o.handle.send_reading(victim, b"post-reboot".to_vec(), true);
-        let delivered = o.handle.bs().received.len() > before;
+        let delivered = o.handle.sink(0).received.len() > before;
         (o.handle.sensor(victim).epoch(), delivered)
     };
 

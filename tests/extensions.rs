@@ -31,19 +31,19 @@ fn fusion_suppression_discards_in_envelope_readings() {
     // Establish the envelope [10, 30] at the forwarders.
     o.handle.send_reading(src, reading(10), false);
     o.handle.send_reading(src, reading(30), false);
-    assert_eq!(o.handle.bs().received.len(), 2);
+    assert_eq!(o.handle.sink(0).received.len(), 2);
 
     // A reading inside the envelope is suppressed in-network; outside gets
     // through.
     o.handle.send_reading(src, reading(20), false);
     assert_eq!(
-        o.handle.bs().received.len(),
+        o.handle.sink(0).received.len(),
         2,
         "in-envelope reading must be discarded by the first forwarder"
     );
     o.handle.send_reading(src, reading(45), false);
-    assert_eq!(o.handle.bs().received.len(), 3);
-    assert_eq!(o.handle.bs().received[2].data, reading(45));
+    assert_eq!(o.handle.sink(0).received.len(), 3);
+    assert_eq!(o.handle.sink(0).received[2].data, reading(45));
 
     // The suppression shows up in the fusion stats.
     let fused: u64 = o
@@ -76,7 +76,7 @@ fn fusion_suppression_never_touches_sealed_traffic() {
     for v in [10u64, 30, 20, 25] {
         o.handle.send_reading(src, v.to_be_bytes().to_vec(), true);
     }
-    assert_eq!(o.handle.bs().received.len(), 4);
+    assert_eq!(o.handle.sink(0).received.len(), 4);
 }
 
 #[test]
@@ -100,7 +100,11 @@ fn suppression_off_by_default() {
     o.handle.send_reading(src, reading(10), false);
     o.handle.send_reading(src, reading(30), false);
     o.handle.send_reading(src, reading(20), false);
-    assert_eq!(o.handle.bs().received.len(), 3, "no suppression by default");
+    assert_eq!(
+        o.handle.sink(0).received.len(),
+        3,
+        "no suppression by default"
+    );
 }
 
 #[test]
@@ -120,7 +124,7 @@ fn autonomous_refresh_rolls_the_whole_network_in_lockstep() {
             "node {id} missed refresh epochs"
         );
     }
-    assert_eq!(o.handle.bs().epoch(), 3);
+    assert_eq!(o.handle.sink(0).epoch(), 3);
 
     // And the network still works at epoch 3.
     o.handle.establish_gradient();
@@ -186,9 +190,9 @@ fn two_phase_revocation_evicts_end_to_end() {
     }
     assert!(o.handle.sensor(victim).is_revoked());
     // The BS refuses the evicted node afterwards.
-    let before = o.handle.bs().received.len();
+    let before = o.handle.sink(0).received.len();
     o.handle.send_reading(victim, b"zombie".to_vec(), true);
-    assert_eq!(o.handle.bs().received.len(), before);
+    assert_eq!(o.handle.sink(0).received.len(), before);
 }
 
 #[test]
@@ -251,10 +255,10 @@ fn manual_and_auto_refresh_compose() {
         seed: 6,
         cfg,
     });
-    assert_eq!(o.handle.bs().epoch(), 2);
+    assert_eq!(o.handle.sink(0).epoch(), 2);
     // A manual epoch on top of the autonomous ones.
     o.handle.refresh();
-    assert_eq!(o.handle.bs().epoch(), 3);
+    assert_eq!(o.handle.sink(0).epoch(), 3);
     o.handle.establish_gradient();
     let src = o.handle.sensor_ids()[7];
     assert_eq!(o.handle.send_reading(src, b"e3".to_vec(), true), 1);

@@ -36,16 +36,16 @@ fn lossy_delivery(cfg: ProtocolConfig) -> (usize, usize, u64) {
             .sensor_ids()
             .into_iter()
             .filter(|&id| {
-                dist[id as usize] != u32::MAX && o.handle.sensor(id).hops_to_bs() != u32::MAX
+                dist[id as usize] != u32::MAX && o.handle.sensor(id).hops_to(0) != u32::MAX
             })
             .take(20)
             .collect();
         let mut got = 0usize;
         for (k, &src) in sources.iter().enumerate() {
-            let before = o.handle.bs().received.len();
+            let before = o.handle.sink(0).received.len();
             o.handle
                 .send_reading(src, format!("lossy-{seed}-{k}").into_bytes(), true);
-            if o.handle.bs().received.len() > before {
+            if o.handle.sink(0).received.len() > before {
                 got += 1;
             }
         }
@@ -158,10 +158,10 @@ fn implicit_counters_recover_within_window_only() {
     let mut o = lossy_setup(3, 0.0);
     o.handle.establish_gradient();
     let src = partition_source(&mut o, window - 2);
-    let before = o.handle.bs().received.len();
+    let before = o.handle.sink(0).received.len();
     o.handle.send_reading(src, b"back online".to_vec(), true);
     assert_eq!(
-        o.handle.bs().received.len(),
+        o.handle.sink(0).received.len(),
         before + 1,
         "short outage must resynchronize"
     );
@@ -171,11 +171,11 @@ fn implicit_counters_recover_within_window_only() {
     let mut o = lossy_setup(4, 0.0);
     o.handle.establish_gradient();
     let src = partition_source(&mut o, window + 5);
-    let before = o.handle.bs().received.len();
-    let rejects_before = o.handle.bs().counter_rejects;
+    let before = o.handle.sink(0).received.len();
+    let rejects_before = o.handle.sink(0).counter_rejects;
     o.handle.send_reading(src, b"too late".to_vec(), true);
-    assert_eq!(o.handle.bs().received.len(), before);
-    assert!(o.handle.bs().counter_rejects > rejects_before);
+    assert_eq!(o.handle.sink(0).received.len(), before);
+    assert!(o.handle.sink(0).counter_rejects > rejects_before);
 }
 
 #[test]
@@ -190,11 +190,11 @@ fn explicit_counters_recover_from_any_outage() {
     .run();
     o.handle.establish_gradient();
     let src = partition_source(&mut o, window * 3);
-    let before = o.handle.bs().received.len();
+    let before = o.handle.sink(0).received.len();
     o.handle
         .send_reading(src, b"survives anything".to_vec(), true);
     assert_eq!(
-        o.handle.bs().received.len(),
+        o.handle.sink(0).received.len(),
         before + 1,
         "explicit counters must survive arbitrarily long outages"
     );
@@ -219,7 +219,7 @@ fn revocation_chain_exhaustion_is_graceful() {
         o.handle.evict_nodes(&[v]);
     }
     // No panic; the surplus command was dropped at the BS (wrong_phase).
-    assert!(o.handle.bs().drops.wrong_phase >= 1);
+    assert!(o.handle.sink(0).drops.wrong_phase >= 1);
 }
 
 #[test]

@@ -121,7 +121,7 @@ fn gradient_matches_bfs_hop_distance() {
     outcome.handle.establish_gradient();
     let topo_dist = outcome.handle.sim().topology().hop_distances(0);
     for id in outcome.handle.sensor_ids() {
-        let got = outcome.handle.sensor(id).hops_to_bs();
+        let got = outcome.handle.sensor(id).hops_to(0);
         assert_eq!(
             got, topo_dist[id as usize],
             "node {id} gradient diverges from BFS"
@@ -148,7 +148,7 @@ fn sealed_reading_reaches_base_station_intact() {
         .handle
         .send_reading(far, b"temp=21.5C".to_vec(), true);
     assert_eq!(n, 1, "BS should have exactly one reading");
-    let reading = &outcome.handle.bs().received[0];
+    let reading = &outcome.handle.sink(0).received[0];
     assert_eq!(reading.src, far);
     assert_eq!(reading.data, b"temp=21.5C");
     assert_eq!(reading.ctr, Some(0));
@@ -163,7 +163,7 @@ fn unsealed_fusion_reading_reaches_base_station() {
         .handle
         .send_reading(src, b"fusion-visible".to_vec(), false);
     assert_eq!(n, 1);
-    assert_eq!(outcome.handle.bs().received[0].ctr, None);
+    assert_eq!(outcome.handle.sink(0).received[0].ctr, None);
 }
 
 #[test]
@@ -174,7 +174,7 @@ fn successive_readings_advance_counters() {
     for i in 0..5u8 {
         outcome.handle.send_reading(src, vec![b'r', i], true);
     }
-    let bs = outcome.handle.bs();
+    let bs = outcome.handle.sink(0);
     assert_eq!(bs.received.len(), 5);
     let ctrs: Vec<Option<u64>> = bs.received.iter().map(|r| r.ctr).collect();
     assert_eq!(ctrs, vec![Some(0), Some(1), Some(2), Some(3), Some(4)]);
@@ -193,7 +193,7 @@ fn explicit_counter_mode_works_too() {
     let src = outcome.handle.sensor_ids()[3];
     let n = outcome.handle.send_reading(src, b"explicit".to_vec(), true);
     assert_eq!(n, 1);
-    assert_eq!(outcome.handle.bs().received[0].data, b"explicit");
+    assert_eq!(outcome.handle.sink(0).received[0].data, b"explicit");
 }
 
 #[test]

@@ -200,7 +200,7 @@ fn traced_flood_run(seed: u64, cfg: ProtocolConfig) -> (String, usize, u64, u64)
     let until = o.handle.sim().now() + horizon;
     o.handle.sim_mut().run_until(until);
 
-    let received = o.handle.bs().received.len();
+    let received = o.handle.sink(0).received.len();
     let tx = o.handle.sim().counters().total_tx_msgs();
     let events = o.handle.sim().events_processed();
     let mut jsonl = String::new();

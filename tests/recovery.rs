@@ -104,11 +104,11 @@ fn killed_head_triggers_failover_and_keys_stay_current() {
     o.handle.refresh();
     o.handle.establish_gradient();
     for &m in &members {
-        let before = o.handle.bs().received.len();
+        let before = o.handle.sink(0).received.len();
         o.handle
             .send_reading(m, format!("survivor-{m}").into_bytes(), true);
         assert!(
-            o.handle.bs().received.len() > before,
+            o.handle.sink(0).received.len() > before,
             "survivor {m} cannot report after failover + refresh"
         );
     }
@@ -138,13 +138,13 @@ proptest! {
             .sensor_ids()
             .into_iter()
             .find(|&id| {
-                let h = o.handle.sensor(id).hops_to_bs();
+                let h = o.handle.sensor(id).hops_to(0);
                 h >= 2 && h != u32::MAX
             })
             .expect("a multi-hop source");
-        let received0 = o.handle.bs().received.len();
+        let received0 = o.handle.sink(0).received.len();
         o.handle.send_reading(src, b"once-and-only-once".to_vec(), true);
-        prop_assert_eq!(o.handle.bs().received.len(), received0 + 1);
+        prop_assert_eq!(o.handle.sink(0).received.len(), received0 + 1);
 
         // Harvest the genuine frames off the recorded trace and replay
         // every one of them back into the source's neighborhood. The
@@ -183,7 +183,7 @@ proptest! {
             .iter()
             .map(|&id| handle.sensor(id).stats.drops.stale)
             .sum();
-        let received1 = handle.bs().received.len();
+        let received1 = handle.sink(0).received.len();
         handle
             .sim_mut()
             .inject_broadcast_at(src, 0xDEAD, window + 2, stale_frame);
@@ -194,6 +194,6 @@ proptest! {
             .map(|&id| handle.sensor(id).stats.drops.stale)
             .sum();
         prop_assert!(stale1 > stale0, "stale replays must be counted in stats.drops");
-        prop_assert_eq!(handle.bs().received.len(), received1);
+        prop_assert_eq!(handle.sink(0).received.len(), received1);
     }
 }
