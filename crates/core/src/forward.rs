@@ -30,6 +30,7 @@
 
 use crate::config::ProtocolConfig;
 use crate::error::ProtocolError;
+use crate::hash::FoldState;
 use crate::msg::{ClusterId, Inner, Message, WRAPPED_HEADER_BYTES};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::collections::HashMap;
@@ -67,9 +68,11 @@ const SEALER_CACHE_MAX: usize = 4096;
 /// Holding the built sealers here makes steady-state traffic re-expansion
 /// free; refreshed keys simply miss and insert (stale entries are evicted
 /// wholesale if the map ever grows past a bound no real run approaches).
+/// Its keys are secret random keys, so the map hashes them with the
+/// crate's non-keyed [`FoldState`] rather than SipHash.
 #[derive(Clone, Default)]
 pub struct SealerCache {
-    map: HashMap<Key128, AuthEnc>,
+    map: HashMap<Key128, AuthEnc, FoldState>,
 }
 
 impl SealerCache {

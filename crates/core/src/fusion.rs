@@ -8,13 +8,17 @@
 //! a bounded LRU over data-unit dedup keys, so the same reading arriving on
 //! two paths is forwarded once.
 
+use crate::hash::FoldState;
 use std::collections::HashSet;
 use std::collections::VecDeque;
 
 /// A bounded set with FIFO eviction, keyed by [`crate::msg::DataUnit::dedup_key`].
+/// The keys are FNV hashes, so the set uses the crate's non-keyed
+/// [`FoldState`]; the bound keeps a flood of colliding keys harmless
+/// (DESIGN.md §5a item 12).
 #[derive(Clone, Debug)]
 pub struct DedupCache {
-    set: HashSet<u64>,
+    set: HashSet<u64, FoldState>,
     order: VecDeque<u64>,
     capacity: usize,
 }
@@ -27,7 +31,7 @@ impl DedupCache {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0);
         DedupCache {
-            set: HashSet::new(),
+            set: HashSet::default(),
             order: VecDeque::new(),
             capacity,
         }
@@ -157,6 +161,38 @@ mod tests {
         assert!(c.insert(0)); // evicts 1
         assert!(!c.contains(1));
         assert_eq!(c.len(), 256);
+    }
+
+    #[test]
+    fn colliding_keys_keep_fifo_eviction_and_the_bound() {
+        use std::hash::BuildHasher;
+        // An insider who can choose dedup keys picks ones whose hashes
+        // agree in the low 12 bits: every one of them starts its probe at
+        // the same bucket of any table up to 4096 buckets (a 256-entry
+        // cache never grows past 512).
+        let state = FoldState::default();
+        let target = state.hash_one(0u64) & 0xFFF;
+        let keys: Vec<u64> = (0u64..)
+            .filter(|&k| state.hash_one(k) & 0xFFF == target)
+            .take(3 * 256)
+            .collect();
+        let cap = 256;
+        let mut c = DedupCache::new(cap);
+        for (i, &k) in keys.iter().enumerate() {
+            assert!(c.insert(k), "fresh colliding key {i} reported as duplicate");
+            assert!(c.len() <= cap);
+            assert_eq!(c.len(), (i + 1).min(cap));
+            if i >= cap {
+                assert!(!c.contains(keys[i - cap]), "key {} not evicted", i - cap);
+            }
+            let oldest_kept = (i + 1).saturating_sub(cap);
+            assert!(c.contains(keys[oldest_kept]));
+            // A duplicate of a remembered key is refused and evicts nothing.
+            assert!(!c.insert(keys[oldest_kept]));
+            assert_eq!(c.len(), (i + 1).min(cap));
+        }
+        assert!(keys[keys.len() - cap..].iter().all(|&k| c.contains(k)));
+        assert!(keys[..keys.len() - cap].iter().all(|&k| !c.contains(k)));
     }
 
     #[test]

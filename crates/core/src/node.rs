@@ -1852,11 +1852,14 @@ impl ProtocolNode {
                             ctx.trace(TraceEvent::JoinCompleted { cid });
                         }
                         if self.cfg.recovery.enabled {
-                            // Route-blind-joiner fix: forget whatever hop
-                            // counts leaked in during the join window (they
-                            // may have come through clusters that cannot
-                            // decrypt our traffic), accept only own-cluster
-                            // beacons from here on, and solicit one now.
+                            // Route-blind-joiner fix: accept only
+                            // own-cluster beacons from here on and solicit
+                            // one now. The table is already empty: before
+                            // `finish_join` we held no cluster key, so every
+                            // wrapped beacon in the join window was dropped
+                            // as unknown-cluster (pinned by a test in
+                            // tests/multisink.rs). The reset only guards
+                            // that invariant.
                             self.recovery_mut().own_cid_beacons_only = true;
                             self.gradients.reset();
                             let route = self.legacy_route();

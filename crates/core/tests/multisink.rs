@@ -556,6 +556,86 @@ fn multi_sink_joiner_learns_routes_from_its_own_cluster() {
     }
 }
 
+/// A joiner holds no cluster key until `finish_join`, so a wrapped beacon
+/// heard in the join window — under its future cluster's key or a
+/// neighbouring one — is dropped as unknown-cluster, and the gradient
+/// table is still empty when the join completes. Recovery is off, so the
+/// `TIMER_JOIN` reset does not run and cannot hide a leak.
+#[test]
+fn joiner_counts_join_window_beacons_as_unknown_cluster() {
+    for k in [1u32, 2] {
+        let seed = 2005;
+        let cfg = if k == 1 {
+            ProtocolConfig::default()
+        } else {
+            ProtocolConfig::default().with_sinks(k)
+        };
+        let mut h = Scenario::new(SetupParams {
+            n: 60,
+            density: 12.0,
+            seed,
+            cfg,
+        })
+        .run()
+        .handle;
+        h.establish_gradient();
+        let mate = h
+            .sensor_ids()
+            .into_iter()
+            .find(|&id| {
+                let n = h.sensor(id);
+                n.cid().is_some() && !n.neighbor_cids().is_empty()
+            })
+            .expect("a clustered sensor with a neighbouring cluster");
+        let keys = h.sensor(mate).extract_keys();
+        let (own_cid, own_kc) = keys.cluster.unwrap();
+        let (other_cid, other_kc) = keys.neighbor_keys[0];
+
+        let mut p = Provisioner::new(wsn_sim::rng::derive_seed(seed, 1));
+        let kmc = p.kmc();
+        let id = 1_000;
+        let mut joiner = ProtocolNode::new_joiner(h.cfg().clone(), p.provision_new_node(id));
+        let now = h.sim().now();
+        let mut t = Probe {
+            id,
+            now,
+            rng: StdRng::seed_from_u64(5),
+            sent: Vec::new(),
+        };
+        joiner.dispatch_start(&mut t);
+        let beacons: Vec<Inner> = if k == 1 {
+            vec![Inner::Beacon]
+        } else {
+            (0..k).map(|sink| Inner::SinkBeacon { sink }).collect()
+        };
+        let mut heard = 0;
+        for (from, cid, kc) in [(mate, own_cid, own_kc), (mate + 1, other_cid, other_kc)] {
+            for (seq, beacon) in beacons.iter().enumerate() {
+                let frame = wrap_frame(&sealer(&kc), cid, from, seq as u64, now, 0, beacon);
+                joiner.dispatch_message(&mut t, from, &frame);
+                heard += 1;
+            }
+        }
+        assert_eq!(joiner.stats.drops.unknown_cluster, heard, "k = {k}");
+        for (from, cid) in [(mate, own_cid), (mate + 1, other_cid)] {
+            let kc = cluster_key_at_epoch(&kmc, cid, 0);
+            let tag = join_tag(&kc, cid, id, 0);
+            let response = Message::JoinResponse { cid, epoch: 0, tag }.encode();
+            joiner.dispatch_message(&mut t, from, &response);
+        }
+        joiner.dispatch_timer(&mut t, TIMER_JOIN);
+        assert_eq!(joiner.role(), Role::Member);
+        assert_eq!(joiner.cid(), Some(own_cid));
+        for s in 0..k {
+            assert_eq!(
+                joiner.hops_to(s),
+                NO_GRADIENT,
+                "k = {k}: joined with a hop count to sink {s}"
+            );
+        }
+    }
+}
+
 /// `with_sinks(1)` uses the multi-sink machinery (grid placement,
 /// SinkBeacon/SinkData frames) but must still deliver: it is the
 /// fair same-placement ablation arm for the scaling figure.

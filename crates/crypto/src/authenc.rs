@@ -10,9 +10,15 @@
 //! tag; see [`AuthEncAead`] for the generic version.
 
 use crate::cbcmac::{CbcMac, Tag};
-use crate::ctr::Ctr;
+use crate::ctr::{counter_block, Ctr};
 use crate::rc5::Rc5;
-use crate::{BlockCipher, CryptoError, Key128};
+use crate::{BlockCipher, CryptoError, Key128, MAX_BLOCK_BYTES};
+
+/// Keystream bytes [`AuthEncAead::open_in_place_detached`] computes during
+/// the MAC pass and holds on the stack until the tag verifies (32 RC5
+/// blocks). A longer message takes the same path; keystream for its rest
+/// is generated after verification.
+pub const KEYSTREAM_BUF_BYTES: usize = 256;
 
 /// Authenticated encryption generic over the block cipher.
 #[derive(Clone)]
@@ -72,12 +78,19 @@ impl<C: BlockCipher> AuthEncAead<C> {
     /// frame encrypt the payload region directly and append the tag.
     pub fn seal_in_place_detached(&self, nonce: u64, data: &mut [u8]) -> Tag {
         self.enc.apply(nonce, data);
-        self.ct_tag(nonce, data)
+        self.tag_and_keystream(nonce, data, &mut [])
     }
 
     /// Verifies `tag` over `nonce ‖ ct`, then decrypts `ct` in place. On
     /// error the ciphertext is left untouched. The allocation-free core of
     /// [`AuthEncAead::open`].
+    ///
+    /// One pass: each CBC-MAC step is paired with the keystream block of
+    /// the same index ([`BlockCipher::encrypt_pair`]), and the first
+    /// [`KEYSTREAM_BUF_BYTES`] of keystream wait on the stack until the
+    /// tag has been compared in constant time. Only then is the keystream
+    /// XORed in; the part of a longer message past the buffer is
+    /// generated after the check.
     pub fn open_in_place_detached(
         &self,
         nonce: u64,
@@ -87,19 +100,70 @@ impl<C: BlockCipher> AuthEncAead<C> {
         if tag.len() != self.tag_bytes {
             return Err(CryptoError::Truncated);
         }
-        let expected = self.ct_tag(nonce, ct);
+        let bs = C::BLOCK_BYTES;
+        let buffered_blocks = ct.len().div_ceil(bs).min(KEYSTREAM_BUF_BYTES / bs);
+        let mut keystream_buf = [0u8; KEYSTREAM_BUF_BYTES];
+        let keystream = &mut keystream_buf[..buffered_blocks * bs];
+        let expected = self.tag_and_keystream(nonce, ct, keystream);
         if !crate::ct::eq(expected.as_bytes(), tag) {
             return Err(CryptoError::BadTag);
         }
-        self.enc.apply(nonce, ct);
+        let (head, tail) = ct.split_at_mut(ct.len().min(keystream.len()));
+        for (d, k) in head.iter_mut().zip(keystream.iter()) {
+            *d ^= k;
+        }
+        self.enc.apply_from(nonce, buffered_blocks as u64, tail);
         Ok(())
     }
 
-    fn ct_tag(&self, nonce: u64, ct: &[u8]) -> Tag {
-        let mut s = self.mac.stream(8 + ct.len() as u64);
-        s.update(&nonce.to_be_bytes());
-        s.update(ct);
-        s.finalize_truncated(self.tag_bytes)
+    /// Length-prepended CBC-MAC over `nonce ‖ ct` (the bytes
+    /// [`crate::cbcmac::CbcMac::stream`] would absorb), truncated to the
+    /// tag length. Alongside MAC step `i` it fills block `i` of
+    /// `keystream` (whose length is a whole number of blocks, at most the
+    /// number of MAC steps) with the CTR keystream for `nonce`.
+    fn tag_and_keystream(&self, nonce: u64, ct: &[u8], keystream: &mut [u8]) -> Tag {
+        let bs = C::BLOCK_BYTES;
+        let (mac, enc) = (self.mac.cipher(), self.enc.cipher());
+        let mut keystream_blocks = keystream.chunks_exact_mut(bs).enumerate();
+        let mut step = |state: &mut [u8]| match keystream_blocks.next() {
+            Some((i, block)) => {
+                counter_block(nonce, i as u64, block);
+                mac.encrypt_pair(state, enc, block);
+            }
+            None => mac.encrypt_block(state),
+        };
+
+        // The message blocks: `nonce ‖ ct[..bs - 8]`, then `ct` in whole
+        // blocks; the final one is 10*-padded when it is partial.
+        let (ct_first, ct_rest) = ct.split_at(ct.len().min(bs - 8));
+        let mut first = [0u8; MAX_BLOCK_BYTES];
+        first[..8].copy_from_slice(&nonce.to_be_bytes());
+        first[8..8 + ct_first.len()].copy_from_slice(ct_first);
+        let blocks = std::iter::once(&first[..8 + ct_first.len()]).chain(ct_rest.chunks(bs));
+
+        // The length block, then one step per message block.
+        let mut state = [0u8; MAX_BLOCK_BYTES];
+        let total = (8 + ct.len()) as u64;
+        state[bs - 8..bs].copy_from_slice(&total.to_be_bytes());
+        step(&mut state[..bs]);
+        for block in blocks {
+            if block.len() == bs {
+                // A fixed-length XOR compiles to one word-wide store, so
+                // the cipher's word loads from `state` are forwarded from
+                // it rather than assembled from byte stores.
+                for (s, m) in state[..bs].iter_mut().zip(block) {
+                    *s ^= m;
+                }
+            } else {
+                for (s, m) in state.iter_mut().zip(block) {
+                    *s ^= m;
+                }
+                state[block.len()] ^= 0x80;
+            }
+            step(&mut state[..bs]);
+        }
+        debug_assert!(keystream_blocks.next().is_none());
+        Tag::truncated(state, self.tag_bytes)
     }
 }
 

@@ -27,6 +27,27 @@ pub trait BlockCipher {
     /// Decrypts one block in place. `block.len()` must equal
     /// [`Self::BLOCK_BYTES`].
     fn decrypt_block(&self, block: &mut [u8]);
+
+    /// Encrypts `x` under `self` and `y` under `other` (a second,
+    /// differently keyed instance) in place. The two blocks are
+    /// independent, so a cipher whose rounds form one long dependency
+    /// chain can run both chains side by side; the fused MAC‖CTR open in
+    /// [`crate::authenc`] pairs each CBC-MAC step with a keystream block.
+    fn encrypt_pair(&self, x: &mut [u8], other: &Self, y: &mut [u8]) {
+        self.encrypt_block(x);
+        other.encrypt_block(y);
+    }
+
+    /// Encrypts consecutive independent blocks in place (ECB over
+    /// `blocks`, whose length must be a multiple of
+    /// [`Self::BLOCK_BYTES`]). CTR keystream generation batches its
+    /// counter blocks through this so a cipher can interleave them.
+    fn encrypt_blocks(&self, blocks: &mut [u8]) {
+        debug_assert_eq!(blocks.len() % Self::BLOCK_BYTES, 0);
+        for block in blocks.chunks_exact_mut(Self::BLOCK_BYTES) {
+            self.encrypt_block(block);
+        }
+    }
 }
 
 /// Exercises an implementation's encrypt/decrypt inverse property across a

@@ -19,6 +19,11 @@ pub struct Tag {
 }
 
 impl Tag {
+    /// The first `len` bytes of a final CBC-MAC chaining block.
+    pub(crate) fn truncated(block: [u8; MAX_BLOCK_BYTES], len: usize) -> Tag {
+        Tag { bytes: block, len }
+    }
+
     /// The tag bytes.
     pub fn as_bytes(&self) -> &[u8] {
         &self.bytes[..self.len]
@@ -51,6 +56,11 @@ impl<C: BlockCipher> CbcMac<C> {
     /// Wraps an already-keyed cipher.
     pub fn new(cipher: C) -> Self {
         CbcMac { cipher }
+    }
+
+    /// The keyed cipher.
+    pub(crate) fn cipher(&self) -> &C {
+        &self.cipher
     }
 
     /// Starts a streaming MAC over a message of exactly `total_len` bytes.

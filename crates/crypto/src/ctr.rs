@@ -27,6 +27,23 @@ pub fn message_nonce(sender: u32, seq: u64) -> u64 {
     ((sender as u64 & 0x3F_FFFF) << 42) | ((seq & 0xFFFF_FFFF) << NONCE_BLOCK_BITS)
 }
 
+/// Keystream bytes produced per [`BlockCipher::encrypt_blocks`] call: 8
+/// RC5 blocks or 4 AES blocks. A multiple of every block size in the
+/// crate, and small enough to live on the stack.
+const BATCH_BYTES: usize = 64;
+
+/// Writes the counter block for block `index` of the message under
+/// `nonce` into `block` (one cipher block long); see [`Ctr::apply`].
+pub(crate) fn counter_block(nonce: u64, index: u64, block: &mut [u8]) {
+    debug_assert!(block.len() == 8 || block.len() == MAX_BLOCK_BYTES);
+    if block.len() >= 16 {
+        block[..8].copy_from_slice(&nonce.to_be_bytes());
+        block[8..16].copy_from_slice(&index.to_be_bytes());
+    } else {
+        block[..8].copy_from_slice(&nonce.wrapping_add(index).to_be_bytes());
+    }
+}
+
 /// CTR-mode encryptor/decryptor over cipher `C`.
 #[derive(Clone)]
 pub struct Ctr<C: BlockCipher> {
@@ -37,6 +54,11 @@ impl<C: BlockCipher> Ctr<C> {
     /// Wraps an already-keyed cipher.
     pub fn new(cipher: C) -> Self {
         Ctr { cipher }
+    }
+
+    /// The keyed cipher.
+    pub(crate) fn cipher(&self) -> &C {
+        &self.cipher
     }
 
     /// XORs the keystream for (`nonce`, starting counter 0) into `data` in
@@ -51,20 +73,24 @@ impl<C: BlockCipher> Ctr<C> {
     /// `message_nonce(sender, seq)` with monotone per-sender sequence
     /// numbers.
     pub fn apply(&self, nonce: u64, data: &mut [u8]) {
+        self.apply_from(nonce, 0, data);
+    }
+
+    /// [`Ctr::apply`] for the part of a message that starts at block
+    /// `first_block`: `data[0]` is XORed with the first byte of that
+    /// block's keystream. Counter blocks are encrypted in batches.
+    pub(crate) fn apply_from(&self, nonce: u64, first_block: u64, data: &mut [u8]) {
         let bs = C::BLOCK_BYTES;
-        debug_assert!(bs <= MAX_BLOCK_BYTES);
-        let mut keystream_buf = [0u8; MAX_BLOCK_BYTES];
-        let keystream: &mut [u8] = &mut keystream_buf[..bs];
-        for (block_index, chunk) in data.chunks_mut(bs).enumerate() {
-            keystream.iter_mut().for_each(|b| *b = 0);
-            if bs >= 16 {
-                keystream[..8].copy_from_slice(&nonce.to_be_bytes());
-                keystream[8..16].copy_from_slice(&(block_index as u64).to_be_bytes());
-            } else {
-                let word = nonce.wrapping_add(block_index as u64);
-                keystream[..8].copy_from_slice(&word.to_be_bytes());
+        debug_assert!(bs <= MAX_BLOCK_BYTES && BATCH_BYTES.is_multiple_of(bs));
+        let mut keystream_buf = [0u8; BATCH_BYTES];
+        let mut index = first_block;
+        for chunk in data.chunks_mut(BATCH_BYTES) {
+            let keystream = &mut keystream_buf[..chunk.len().div_ceil(bs) * bs];
+            for block in keystream.chunks_exact_mut(bs) {
+                counter_block(nonce, index, block);
+                index += 1;
             }
-            self.cipher.encrypt_block(&mut *keystream);
+            self.cipher.encrypt_blocks(keystream);
             for (d, k) in chunk.iter_mut().zip(keystream.iter()) {
                 *d ^= k;
             }

@@ -65,9 +65,10 @@ impl Eq for Key128 {}
 
 // Hashes the raw bytes, consistent with `PartialEq` (constant-time equality
 // over the same bytes). Lets cipher-schedule caches key on `Key128` directly.
+// The length is fixed, so no length prefix is written.
 impl core::hash::Hash for Key128 {
     fn hash<H: core::hash::Hasher>(&self, state: &mut H) {
-        self.0.hash(state);
+        state.write(&self.0);
     }
 }
 
