@@ -207,7 +207,7 @@ fn trial(seed: u64, intensity: usize, recovery: bool) -> TrialOut {
     }
 }
 
-/// Runs the sweep: `trials` per intensity, fanned out per [`jobs`].
+/// Runs the sweep: `trials` per intensity, fanned out per `WSN_JOBS`.
 pub fn resilience_rows(trials: usize) -> Vec<ResilienceRow> {
     INTENSITIES
         .iter()

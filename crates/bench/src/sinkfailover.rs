@@ -9,9 +9,10 @@
 //! pinned:
 //!
 //! 1. **Conservation** — no partition entry is lost: after the kill,
-//!    every sensor's key entry lives at exactly one surviving sink
-//!    (`lost` is 0 by construction of `plan_failover`; the figure
-//!    proves it end-to-end through the handoff execution).
+//!    every sensor's key entry lives at a surviving sink. The failover
+//!    never reads the dead sink's memory: survivors re-derive each
+//!    orphaned `Ki` from the provisioning seed, so `lost` counts every
+//!    node that takeover missed.
 //! 2. **Graceful degradation** — post-kill delivery stays close to the
 //!    surviving share of capacity (≈ (K−1)/K of the pre-kill rate),
 //!    rather than collapsing: the re-beaconed gradient routes every
@@ -132,7 +133,7 @@ pub fn trial(seed: u64, k: u32) -> TrialOut {
     let post = run_window(&mut handle, &srcs);
 
     // Conservation: every sensor's key entry must live at a surviving
-    // sink now (the dead sink may keep only untracked sink ids).
+    // sink now (the dead sink's frozen registry does not count).
     let mut covered = std::collections::BTreeSet::new();
     for s in (0..k).filter(|&s| s != dead) {
         covered.extend(handle.sink(s).registered_nodes());

@@ -2,7 +2,8 @@
 //!
 //! A [`FaultPlan`] is data, not behavior — a sorted list of
 //! [`Fault`]s plus battery budgets, all fixed before the simulation
-//! starts. The [`crate::engine`] interprets it against a live network.
+//! starts. The chaos engine (`wsn_core::chaos`) interprets it against a
+//! live network.
 //! Everything random about a plan (churn times, drift factors) is drawn
 //! from streams derived from the plan's own master seed at *build* time,
 //! so a plan is a pure function of its inputs and the same plan replays

@@ -286,9 +286,14 @@ impl BaseStation {
         self.windows.insert(state.id, state.window);
     }
 
+    /// Whether this sink holds `node`'s partition entry.
+    pub fn holds(&self, node: u32) -> bool {
+        self.registry.contains_key(&node)
+    }
+
     /// The node ids whose partition entries this sink currently holds
-    /// (ascending) — the conservation invariant across handoffs and
-    /// failovers is that the union over sinks never loses an id.
+    /// (ascending) — the invariant across handoffs and failovers is that
+    /// every sensor is held by exactly one live sink.
     pub fn registered_nodes(&self) -> Vec<u32> {
         let mut v: Vec<u32> = self.registry.keys().copied().collect();
         v.sort_unstable();

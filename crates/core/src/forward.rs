@@ -69,7 +69,7 @@ const SEALER_CACHE_MAX: usize = 4096;
 /// free; refreshed keys simply miss and insert (stale entries are evicted
 /// wholesale if the map ever grows past a bound no real run approaches).
 /// Its keys are secret random keys, so the map hashes them with the
-/// crate's non-keyed [`FoldState`] rather than SipHash.
+/// crate's non-keyed `FoldState` rather than SipHash.
 #[derive(Clone, Default)]
 pub struct SealerCache {
     map: HashMap<Key128, AuthEnc, FoldState>,

@@ -14,7 +14,7 @@ use std::collections::VecDeque;
 
 /// A bounded set with FIFO eviction, keyed by [`crate::msg::DataUnit::dedup_key`].
 /// The keys are FNV hashes, so the set uses the crate's non-keyed
-/// [`FoldState`]; the bound keeps a flood of colliding keys harmless
+/// `FoldState`; the bound keeps a flood of colliding keys harmless
 /// (DESIGN.md §5a item 12).
 #[derive(Clone, Debug)]
 pub struct DedupCache {

@@ -138,7 +138,7 @@ pub enum Message {
 }
 
 /// Byte length of the `Wrapped` frame header written by
-/// [`Message::put_wrapped_header`]: type (1) + cid (4) + nonce (8).
+/// `Message::put_wrapped_header`: type (1) + cid (4) + nonce (8).
 pub const WRAPPED_HEADER_BYTES: usize = 13;
 
 impl Message {

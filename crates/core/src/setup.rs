@@ -38,12 +38,13 @@
 
 use crate::base_station::{BaseStation, TIMER_BEACON, TIMER_REVOKE};
 use crate::config::{ProtocolConfig, RefreshMode};
+use crate::forward::CounterWindow;
 use crate::keys::Provisioner;
 use crate::msg::ClusterId;
 use crate::node::{
     PendingReading, ProtocolApp, ProtocolNode, Role, TIMER_HEARTBEAT, TIMER_RETX, TIMER_SEND,
 };
-use crate::sink::{home_sink, multi_sink_topology, SinkSet};
+use crate::sink::{home_sink, multi_sink_topology, SinkNodeState};
 use crate::stats::SetupReport;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -124,8 +125,6 @@ struct Deployment {
     provisioner: Provisioner,
     /// The protocol configuration in force, shared by every sensor.
     cfg: Arc<ProtocolConfig>,
-    /// Number of sinks (1 when the multi-sink subsystem is off).
-    n_sinks: u32,
     /// The scenario's master seed; engines derive their sub-streams from
     /// it (`derive_seed(seed, 2)` is the event-engine stream).
     seed: u64,
@@ -272,7 +271,6 @@ impl<'a> Scenario<'a> {
             apps,
             provisioner,
             cfg,
-            n_sinks,
             seed: params.seed,
             radio,
             sink,
@@ -289,7 +287,6 @@ impl<'a> Scenario<'a> {
         let n = dep.topo.n();
         let seed = dep.seed;
         let cfg = dep.cfg;
-        let n_sinks = dep.n_sinks;
         let provisioner = dep.provisioner;
 
         // `make_app` is called in ascending id order by both engines, and
@@ -360,7 +357,6 @@ impl<'a> Scenario<'a> {
 
         let setup_counters = sim.counters().clone();
         let report = SetupReport::from_simulation(&sim, &setup_counters);
-        let sinks = SinkSet::new(n_sinks, n_sinks..n as u32);
         let handle = NetworkHandle {
             sim,
             cfg,
@@ -370,7 +366,6 @@ impl<'a> Scenario<'a> {
             aux_rng: StdRng::seed_from_u64(derive_seed(seed, 4)),
             next_id: n as u32,
             chaos_plan: chaos,
-            sinks,
         };
         SetupOutcome { handle, report }
     }
@@ -395,9 +390,6 @@ pub struct NetworkHandle {
     aux_rng: StdRng,
     next_id: u32,
     chaos_plan: Option<wsn_chaos::FaultPlan>,
-    /// Which sink serves which node (every node is served by sink 0, the
-    /// base station, in a single-sink deployment).
-    sinks: SinkSet,
 }
 
 impl NetworkHandle {
@@ -436,7 +428,7 @@ impl NetworkHandle {
     /// All sink node ids, `0..K` (`[0]`, the base station, for a
     /// single-sink deployment).
     pub fn sink_ids(&self) -> Vec<u32> {
-        (0..self.sinks.k()).collect()
+        (0..self.cfg.sinks.k()).collect()
     }
 
     /// The base-station app of sink `k`. Panics if `k` is not a sink.
@@ -452,11 +444,6 @@ impl NetworkHandle {
         self.sim.app_mut(k).as_base_mut().expect("not a sink id")
     }
 
-    /// The serving map: which sink holds each node's partition entry.
-    pub fn sink_set(&self) -> &SinkSet {
-        &self.sinks
-    }
-
     /// Readings accepted across every sink.
     pub fn total_received(&self) -> usize {
         self.sink_ids()
@@ -467,7 +454,7 @@ impl NetworkHandle {
 
     /// All sensor IDs (sinks excluded).
     pub fn sensor_ids(&self) -> Vec<u32> {
-        (self.sinks.k()..self.sim.topology().n() as u32).collect()
+        (self.cfg.sinks.k()..self.sim.topology().n() as u32).collect()
     }
 
     /// Recomputes the setup report from current state.
@@ -520,77 +507,106 @@ impl NetworkHandle {
         self.sim.run();
     }
 
+    /// The live sink whose registry holds `node`'s partition entry, if
+    /// any. The sinks' registries are the only record of ownership; a
+    /// powered-off sink is never asked.
+    fn holder(&self, node: u32) -> Option<u32> {
+        (0..self.cfg.sinks.k()).find(|&k| self.sim.node_is_up(k) && self.sink(k).holds(node))
+    }
+
+    /// The sink a (re-)registering node's entry goes to: the live sink
+    /// holding it, else its home sink while that is up, else the smallest
+    /// live sink.
+    fn registrar(&self, node: u32) -> u32 {
+        let home = home_sink(node, self.cfg.sinks.k());
+        self.holder(node)
+            .or_else(|| self.sim.node_is_up(home).then_some(home))
+            .or_else(|| (0..self.cfg.sinks.k()).find(|&s| self.sim.node_is_up(s)))
+            .unwrap_or(home)
+    }
+
     /// Multi-sink: moves every node's partition entry (`Ki` + replay
-    /// window) to its *nearest* sink, as determined by the per-sink
-    /// gradients — call after [`Self::establish_gradient`]. Emits a
-    /// `SinkElected` event per assigned node, a `SinkHandoff` per move,
-    /// and one aggregate `SinkSync` per (from, to) sink pair. Returns
-    /// the number of entries moved. No-op (0) for single-sink runs.
+    /// window) from the live sink holding it to its *nearest* sink, as
+    /// determined by the per-sink gradients — call after
+    /// [`Self::establish_gradient`]. Emits a `SinkElected` event per
+    /// assigned node, a `SinkHandoff` per move, and one aggregate
+    /// `SinkSync` per (from, to) sink pair. Returns the number of entries
+    /// moved. No-op (0) for single-sink runs.
     pub fn rehome_to_nearest(&mut self) -> usize {
         if !self.cfg.sinks.enabled {
             return 0;
         }
-        let mut nearest = std::collections::BTreeMap::new();
+        let mut moves = Vec::new();
         for id in self.sensor_ids() {
             if let Some((sink, hops)) = self.sensor(id).nearest_sink() {
-                nearest.insert(id, sink);
                 self.sim
                     .trace_record(id, wsn_trace::TraceEvent::SinkElected { sink, hops });
+                if let Some(from) = self.holder(id).filter(|&from| from != sink) {
+                    moves.push((id, from, sink));
+                }
             }
         }
-        let moves = self.sinks.plan_rehome(&nearest);
-        self.execute_handoffs(&moves);
+        for &(node, from, to) in &moves {
+            let state = self
+                .sink_mut(from)
+                .take_node_state(node)
+                .expect("the holder holds the entry");
+            self.sink_mut(to).install_node_state(state);
+        }
+        self.trace_handoffs(&moves);
         moves.len()
     }
 
-    /// Multi-sink failover: powers sink `dead` off and re-homes every
-    /// node it served to that node's nearest *surviving* sink (fallback:
-    /// the smallest surviving sink id, for nodes with no gradient to any
-    /// survivor). Partition entries are conserved — the dead sink's
-    /// registry drains into the survivors. Returns the handoffs made.
+    /// Multi-sink failover: powers sink `dead` off and never reads or
+    /// writes its state again. Each sensor no surviving sink holds gets
+    /// its `Ki` re-derived from the provisioning seed and a fresh replay
+    /// window — the socket takeover's semantics, with the costs in
+    /// DESIGN.md §5a item 13 — installed at its nearest surviving sink
+    /// (fallback: the smallest surviving id). Returns the entries installed.
     pub fn fail_sink(&mut self, dead: u32) -> usize {
         assert!(self.cfg.sinks.enabled, "fail_sink needs multi-sink mode");
         self.sim.set_node_down(dead);
         self.sim.trace_record(dead, wsn_trace::TraceEvent::NodeDown);
-        let survivors: Vec<u32> = (0..self.sinks.k()).filter(|&k| k != dead).collect();
+        let survivors: Vec<u32> = self
+            .sink_ids()
+            .into_iter()
+            .filter(|&k| self.sim.node_is_up(k))
+            .collect();
         assert!(!survivors.is_empty(), "cannot fail the last sink");
-        let sim = &self.sim;
-        let moves = self.sinks.plan_failover(dead, |node| {
-            sim.apps()[node as usize]
-                .as_sensor()
-                .and_then(|n| {
-                    survivors
-                        .iter()
-                        .map(|&k| (n.hops_to(k), k))
-                        .filter(|&(hops, _)| hops != crate::routing::NO_GRADIENT)
-                        .min()
-                        .map(|(_, k)| k)
-                })
-                .unwrap_or(survivors[0])
-        });
-        self.execute_handoffs(&moves);
+        let mut moves = Vec::new();
+        for node in self.sensor_ids() {
+            if self.holder(node).is_some() {
+                continue;
+            }
+            let to = survivors
+                .iter()
+                .map(|&k| (self.sensor(node).hops_to(k), k))
+                .filter(|&(hops, _)| hops != crate::routing::NO_GRADIENT)
+                .min()
+                .map_or(survivors[0], |(_, k)| k);
+            let state = SinkNodeState {
+                id: node,
+                ki: self.provisioner.node_key(node),
+                window: CounterWindow::new(),
+            };
+            self.sink_mut(to).install_failover_state(state, dead);
+            moves.push((node, dead, to));
+        }
+        self.trace_handoffs(&moves);
         moves.len()
     }
 
-    /// Executes planned handoffs against the sink apps and emits the
-    /// trace events: one `SinkHandoff` per moved node, then one
-    /// aggregate `SinkSync` per (from, to) sink pair, attributed to the
-    /// receiving sink.
-    fn execute_handoffs(&mut self, moves: &[crate::sink::Handoff]) {
-        let mut batches: std::collections::BTreeMap<(u32, u32), u32> =
-            std::collections::BTreeMap::new();
-        for m in moves {
-            if let Some(state) = self.sink_mut(m.from).take_node_state(m.node) {
-                self.sink_mut(m.to).install_node_state(state);
-                *batches.entry((m.from, m.to)).or_insert(0) += 1;
-                self.sim.trace_record(
-                    m.node,
-                    wsn_trace::TraceEvent::SinkHandoff {
-                        from_sink: m.from,
-                        to_sink: m.to,
-                    },
-                );
-            }
+    /// Traces executed `(node, from, to)` handoffs: one `SinkHandoff` per
+    /// moved node, then one aggregate `SinkSync` per (from, to) sink
+    /// pair, attributed to the receiving sink.
+    fn trace_handoffs(&mut self, moves: &[(u32, u32, u32)]) {
+        let mut batches = std::collections::BTreeMap::<(u32, u32), u32>::new();
+        for &(node, from_sink, to_sink) in moves {
+            *batches.entry((from_sink, to_sink)).or_insert(0) += 1;
+            self.sim.trace_record(
+                node,
+                wsn_trace::TraceEvent::SinkHandoff { from_sink, to_sink },
+            );
         }
         for ((from, to), entries) in batches {
             self.sim.trace_record(
@@ -746,15 +762,23 @@ impl NetworkHandle {
                 ProtocolApp::Sensor(ProtocolNode::new_joiner(Arc::clone(&self.cfg), m))
             })
             .collect();
-        let registrations: Vec<(u32, Key128, Key128)> = new_ids
+        let registrations: Vec<(u32, u32, Key128, Key128)> = new_ids
             .iter()
             .map(|&id| {
                 (
                     id,
+                    self.registrar(id),
                     self.provisioner.node_key(id),
                     self.provisioner.cluster_key_of(id),
                 )
             })
+            .collect();
+        // A failed sink stays down across the rebuild: its frozen
+        // registry must not come back as a second holder.
+        let down_sinks: Vec<u32> = self
+            .sink_ids()
+            .into_iter()
+            .filter(|&s| !self.sim.node_is_up(s))
             .collect();
 
         // Rebuild the simulator with the old apps carried over.
@@ -783,15 +807,12 @@ impl NetworkHandle {
         let resume_at = old_sim.now();
         let trace_state = old_sim.take_trace_state();
         let (_, mut old_apps, _) = old_sim.into_parts();
-        for (id, ki, kc) in registrations {
-            // The joiner's partition entry starts at its home sink;
-            // cluster keys are replicated at every sink.
-            self.sinks.track(id);
-            let home = home_sink(id, self.sinks.k());
-            // Sinks are node ids 0..K, ahead of every sensor.
+        for (id, registrar, ki, kc) in registrations {
+            // Cluster keys are replicated at every sink. Sinks are node
+            // ids 0..K, ahead of every sensor.
             let sinks = old_apps.iter_mut().map_while(ProtocolApp::as_base_mut);
             for (k, bs) in (0u32..).zip(sinks) {
-                if k == home {
+                if k == registrar {
                     bs.register_node(id, ki, kc);
                 } else {
                     bs.set_cluster_key(id, kc);
@@ -803,6 +824,9 @@ impl NetworkHandle {
             apps.next().expect("one app per node")
         });
         self.sim.restore_trace_state(trace_state);
+        for s in down_sinks {
+            self.sim.set_node_down(s);
+        }
         self.sim.run();
         new_ids
     }
@@ -842,7 +866,8 @@ impl NetworkHandle {
     // Churn primitives for fault engines (wsn-chaos) and resilience
     // experiments. Note: [`Self::add_nodes`] rebuilds the simulator and —
     // like the radio config it already resets — clears simulator-level
-    // fault state (down flags, drift, partition, link process).
+    // fault state (sensor down flags, drift, partition, link process);
+    // only a sink that is down stays down.
 
     /// Powers node `id` off mid-run: its timers are lost and it neither
     /// hears nor sends anything until rebooted. App state stays in place
@@ -882,12 +907,11 @@ impl NetworkHandle {
             id,
             ProtocolApp::Sensor(ProtocolNode::new_joiner(Arc::clone(&self.cfg), m)),
         );
-        // Re-register at whichever sink currently serves the node (its
-        // partition entry may have been handed off since deployment).
-        let serving = self.sinks.serving(id).unwrap_or(0);
-        self.sink_mut(serving).register_node(id, ki, kc);
+        // The entry may have been handed off since deployment.
+        let registrar = self.registrar(id);
+        self.sink_mut(registrar).register_node(id, ki, kc);
         for k in self.sink_ids() {
-            if k != serving {
+            if k != registrar {
                 self.sink_mut(k).set_cluster_key(id, kc);
             }
         }

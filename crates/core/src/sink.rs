@@ -16,7 +16,10 @@
 //! node `i` is `i % K`, and when gradient establishment shows a
 //! different sink is nearer, the partition entry moves there via an
 //! explicit handoff ([`SinkNodeState`], traced as `SinkHandoff` /
-//! `SinkSync`). Cluster keys and the revocation hash chain are
+//! `SinkSync`). The sinks' own registries are the only record of which
+//! sink holds a node. A failed sink's memory is never read: its share
+//! is re-derived from the provisioning seed with a fresh replay window
+//! (`NetworkHandle::fail_sink`). Cluster keys and the revocation hash chain are
 //! *replicated* instead (every sink can unwrap any cluster's envelope;
 //! only sink 0 issues revocations) — see DESIGN.md for the tradeoff.
 //!
@@ -26,7 +29,6 @@
 
 use crate::config::SinkConfig;
 use crate::forward::CounterWindow;
-use std::collections::BTreeMap;
 use wsn_crypto::Key128;
 use wsn_sim::geom::Point;
 use wsn_sim::topology::{Topology, TopologyConfig};
@@ -44,119 +46,11 @@ pub struct SinkNodeState {
     pub window: CounterWindow,
 }
 
-/// One planned ownership transfer of a node's partition entry.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Handoff {
-    /// The node being re-homed.
-    pub node: u32,
-    /// Sink currently serving it.
-    pub from: u32,
-    /// Sink that should serve it next.
-    pub to: u32,
-}
-
-/// Coordinator bookkeeping for a set of `K` sinks: which sink serves
-/// which node, and the handoff plans when that changes.
-///
-/// This is pure bookkeeping — executing a plan (moving
-/// [`SinkNodeState`] between [`BaseStation`](crate::base_station::BaseStation)s
-/// and emitting trace events) is the harness's job, mirroring how
-/// `set_cluster_key` syncs harness-side state elsewhere.
-#[derive(Clone, Debug)]
-pub struct SinkSet {
-    k: u32,
-    serving: BTreeMap<u32, u32>,
-}
-
 /// The home (initial) sink of `node` in a `k`-sink deployment:
 /// partition by node id.
 pub fn home_sink(node: u32, k: u32) -> u32 {
     debug_assert!(k >= 1);
     node % k.max(1)
-}
-
-impl SinkSet {
-    /// Builds the initial partition: every provisioned node is served
-    /// by its home sink.
-    pub fn new(k: u32, nodes: impl IntoIterator<Item = u32>) -> Self {
-        assert!(k >= 1, "need at least one sink");
-        let serving = nodes.into_iter().map(|id| (id, home_sink(id, k))).collect();
-        SinkSet { k, serving }
-    }
-
-    /// Number of sinks.
-    pub fn k(&self) -> u32 {
-        self.k
-    }
-
-    /// The sink currently serving `node`, if it is tracked.
-    pub fn serving(&self, node: u32) -> Option<u32> {
-        self.serving.get(&node).copied()
-    }
-
-    /// All nodes currently served by `sink`, ascending.
-    pub fn nodes_served_by(&self, sink: u32) -> Vec<u32> {
-        self.serving
-            .iter()
-            .filter(|&(_, &s)| s == sink)
-            .map(|(&n, _)| n)
-            .collect()
-    }
-
-    /// Registers a node added after setup (joins at its home sink).
-    pub fn track(&mut self, node: u32) {
-        self.serving.insert(node, home_sink(node, self.k));
-    }
-
-    /// Plans (and records) the rehomes implied by a nearest-sink
-    /// assignment: every tracked node whose nearest sink differs from
-    /// its serving sink moves there. Nodes absent from `nearest`
-    /// (no gradient yet) stay put. Returns the handoffs in ascending
-    /// node order — deterministic for a deterministic assignment.
-    pub fn plan_rehome(&mut self, nearest: &BTreeMap<u32, u32>) -> Vec<Handoff> {
-        let mut moves = Vec::new();
-        for (&node, cur) in self.serving.iter_mut() {
-            if let Some(&want) = nearest.get(&node) {
-                if want != *cur {
-                    moves.push(Handoff {
-                        node,
-                        from: *cur,
-                        to: want,
-                    });
-                    *cur = want;
-                }
-            }
-        }
-        moves
-    }
-
-    /// Plans (and records) the failover when `dead` stops serving:
-    /// every node it served moves to `fallback(node)` (typically that
-    /// node's nearest *surviving* sink). Returns the handoffs in
-    /// ascending node order; no entry is ever dropped.
-    pub fn plan_failover(
-        &mut self,
-        dead: u32,
-        mut fallback: impl FnMut(u32) -> u32,
-    ) -> Vec<Handoff> {
-        let mut moves = Vec::new();
-        for (&node, cur) in self.serving.iter_mut() {
-            if *cur == dead {
-                let to = fallback(node);
-                debug_assert_ne!(
-                    to, dead,
-                    "fallback routed node {node} back to the dead sink"
-                );
-                moves.push(Handoff {
-                    node,
-                    from: dead,
-                    to,
-                });
-                *cur = to;
-            }
-        }
-        moves
-    }
 }
 
 /// Deterministic sink placement: a centered grid over the deployment
@@ -240,44 +134,12 @@ mod tests {
     #[test]
     fn home_partition_covers_all_sinks() {
         let k = 4;
-        let set = SinkSet::new(k, 4..40);
         for sink in 0..k {
-            assert_eq!(set.nodes_served_by(sink).len(), 9); // 36 nodes in all
+            let share = (4..40).filter(|&id| home_sink(id, k) == sink).count();
+            assert_eq!(share, 9); // 36 nodes in all
         }
-        assert_eq!(set.serving(7), Some(3));
-        assert_eq!(set.serving(3), None); // ids below 4 are sinks, untracked
-    }
-
-    #[test]
-    fn rehome_moves_only_changed_nodes() {
-        let mut set = SinkSet::new(2, 2..6);
-        // Home: 2→0, 3→1, 4→0, 5→1. Nearest says 3→0 and 4→0 (no move).
-        let nearest = BTreeMap::from([(3u32, 0u32), (4, 0)]);
-        let moves = set.plan_rehome(&nearest);
-        assert_eq!(
-            moves,
-            vec![Handoff {
-                node: 3,
-                from: 1,
-                to: 0
-            }]
-        );
-        assert_eq!(set.serving(3), Some(0));
-        // Replaying the same assignment is a fixpoint.
-        assert!(set.plan_rehome(&nearest).is_empty());
-    }
-
-    #[test]
-    fn failover_conserves_entries() {
-        let mut set = SinkSet::new(3, 3..30);
-        let moves = set.plan_failover(1, |_| 0);
-        assert_eq!(moves.len(), 9);
-        assert!(set.nodes_served_by(1).is_empty());
-        assert_eq!(set.nodes_served_by(0).len(), 18); // its own 9 + the moved 9
-        for m in &moves {
-            assert_eq!(m.from, 1);
-            assert_eq!(m.to, 0);
-        }
+        assert_eq!(home_sink(7, k), 3);
+        assert_eq!(home_sink(7, 1), 0); // one sink holds everyone
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! world goes through this trait — broadcast/unicast framed datagrams,
 //! arm/cancel keyed timers, read a clock and a deterministic RNG, and
 //! emit trace events. The discrete-event simulator's per-invocation
-//! [`Ctx`](wsn_sim::node::Ctx) is the first implementation (the blanket
+//! [`wsn_sim::node::Ctx`] is the first implementation (the blanket
 //! impl below simply delegates, so simulator runs are byte-identical to
 //! the pre-seam code); the `wsn-net` crate provides a real-I/O backend
 //! (a UDP reactor) that drives the same unmodified state machines over

@@ -11,7 +11,7 @@
 //!   to every peer. The [`FailureDetector`] turns silence into
 //!   `Suspected` (exponential suspicion backoff) and finally `Dead`.
 //! * **Two-phase handoffs** — the socket realization of the in-sim
-//!   `plan_rehome`/`take_node_state`/`install_node_state` flow. The
+//!   `rehome_to_nearest` (`take_node_state`/`install_node_state`). The
 //!   sender journals a `HandoffIntent`, ships a *copy* of the entry in
 //!   a `Handoff` message, and only retires its own copy (journaling
 //!   `RehomeOut`) once the receiver's `HandoffAck` arrives — between

@@ -56,7 +56,7 @@ pub struct Now {
 /// revocation appends are journaled before any traffic depends on them.
 pub enum CtrlCmd {
     /// Install a partition entry. `from_sink: Some(dead)` is a failover
-    /// takeover (journals [`StateMutation::FailoverIn`] with
+    /// takeover (journals [`wsn_core::persist::StateMutation::FailoverIn`] with
     /// provenance); `None` is the receiving side of a two-phase handoff
     /// (journals `RehomeIn`).
     Install {
@@ -104,7 +104,7 @@ mod release {
     use wsn_core::persist::StateMutation;
 
     /// The outgoing frames of one shard call. Private fields and one
-    /// frame-carrying constructor, [`Released::after_append`], which
+    /// frame-carrying constructor, `Released::after_append`, which
     /// appends the call's journal batch before it builds the token.
     #[must_use = "a shard's released frames are its replies"]
     pub struct Released {

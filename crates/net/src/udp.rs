@@ -67,7 +67,7 @@ use crate::wal::{StateStore, Store};
 /// the simulator's virtual `SimTime`. Both `wsn-bs` and `motegen` stamp
 /// `τ` from this, so the freshness window works across processes. Used
 /// **only** for protocol timestamps; shard timers run on the monotonic
-/// half of [`Clock`], which a wall-clock step cannot disturb.
+/// half of `Clock`, which a wall-clock step cannot disturb.
 pub fn wall_us() -> SimTime {
     SystemTime::now()
         .duration_since(UNIX_EPOCH)
