@@ -31,7 +31,7 @@
 use crate::config::ProtocolConfig;
 use crate::error::ProtocolError;
 use crate::hash::FoldState;
-use crate::msg::{ClusterId, Inner, Message, WRAPPED_HEADER_BYTES};
+use crate::msg::{ClusterId, Inner, InnerRef, Message, WRAPPED_HEADER_BYTES};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::collections::HashMap;
 use wsn_crypto::authenc::AuthEnc;
@@ -49,25 +49,26 @@ pub fn derive_pair(base: &Key128) -> (Key128, Key128) {
 
 /// Builds the authenticated-encryption context for a base key.
 ///
-/// Expensive: two PRF evaluations plus two RC5 key expansions. Steady-state
-/// paths go through a [`SealerCache`] so each base key pays this once.
+/// Expensive: two PRF evaluations plus two RC5 key expansions, so
+/// steady-state paths build it once per key: a sensor keeps it in the
+/// key's slot (`keys::KeySlot`), the base station in a [`SealerCache`].
 pub fn sealer(base: &Key128) -> AuthEnc {
     let (ke, km) = derive_pair(base);
     AuthEnc::new(ke, km)
 }
 
-/// Upper bound on cached sealers; reached only under key churn far beyond
-/// any simulated deployment (a node holds its own keys plus set `S`).
+/// Upper bound on cached sealers; the map is cleared wholesale when it is
+/// reached.
 const SEALER_CACHE_MAX: usize = 4096;
 
-/// Per-node cache of [`sealer`] results, keyed by base key.
+/// The base station's cache of [`sealer`] results, keyed by base key.
 ///
 /// Every seal/open rebuilds `AuthEnc` from the base key — two HMAC-SHA256
-/// evaluations and two RC5 key expansions — yet a node only ever uses a
-/// handful of long-lived keys (`Ki`, its cluster keys, `Km` during setup).
-/// Holding the built sealers here makes steady-state traffic re-expansion
-/// free; refreshed keys simply miss and insert (stale entries are evicted
-/// wholesale if the map ever grows past a bound no real run approaches).
+/// evaluations and two RC5 key expansions — and the base station opens
+/// under every sensor's `Ki` and every cluster key. Holding the built
+/// sealers here makes re-expansion free for keys that recur; refreshed
+/// keys simply miss and insert (stale entries are evicted wholesale at
+/// `SEALER_CACHE_MAX`).
 /// Its keys are secret random keys, so the map hashes them with the
 /// crate's non-keyed `FoldState` rather than SipHash.
 #[derive(Clone, Default)]
@@ -89,24 +90,10 @@ impl SealerCache {
         self.map.entry(*base).or_insert_with(|| sealer(base))
     }
 
-    /// Drops the sealer built for `base`. A cached sealer holds the keys
-    /// derived from its base key, so erasing a key must forget its sealer
-    /// too: otherwise the derived pair keeps opening and forging what the
-    /// erased key protected.
-    pub fn forget(&mut self, base: &Key128) {
-        self.map.remove(base);
-    }
-
     /// Number of cached sealers.
     #[allow(clippy::len_without_is_empty)]
     pub fn len(&self) -> usize {
         self.map.len()
-    }
-
-    /// The cached sealers, in no particular order.
-    #[cfg(test)]
-    pub(crate) fn sealers(&self) -> impl Iterator<Item = &AuthEnc> {
-        self.map.values()
     }
 }
 
@@ -312,12 +299,16 @@ pub fn unwrap_with(
     cfg: &ProtocolConfig,
 ) -> Result<Unwrapped, ProtocolError> {
     let pt = ae.open(nonce, sealed)?;
-    parse_unwrapped(&pt, cid, now, cfg)
+    let (tau, sender_hops, inner) = parse_header(&pt, cid, now, cfg.freshness_window)?;
+    Ok(Unwrapped {
+        inner: Inner::decode(inner)?,
+        tau,
+        sender_hops,
+    })
 }
 
 /// [`unwrap_with`] decrypting into a caller-owned scratch buffer instead
-/// of a fresh allocation. Every receiver in range runs this per overheard
-/// frame, so the steady-state receive path reuses one buffer per node.
+/// of a fresh allocation.
 pub fn unwrap_in(
     ae: &AuthEnc,
     cid: ClusterId,
@@ -327,6 +318,58 @@ pub fn unwrap_in(
     cfg: &ProtocolConfig,
     scratch: &mut Vec<u8>,
 ) -> Result<Unwrapped, ProtocolError> {
+    let window = cfg.freshness_window;
+    let (tau, sender_hops, inner) = open_header_in(ae, cid, nonce, sealed, now, window, scratch)?;
+    Ok(Unwrapped {
+        inner: Inner::decode(inner)?,
+        tau,
+        sender_hops,
+    })
+}
+
+/// What [`open_in`] yields: the inner payload, its data unit (if any)
+/// borrowed from the scratch buffer, and the sender's hop distance.
+#[derive(Clone, Debug, PartialEq)]
+pub(crate) struct Opened<'a> {
+    /// The inner payload.
+    pub inner: InnerRef<'a>,
+    /// The sender's hop distance (see [`Unwrapped::sender_hops`]).
+    pub sender_hops: u32,
+}
+
+/// [`unwrap_in`] parsing the inner payload in place, with
+/// `freshness_window` from [`ProtocolConfig::freshness_window`]: the
+/// same checks in the same order. Every receiver in range runs this per
+/// overheard frame, so the sensor receive path reuses one buffer per
+/// node and copies no data body.
+pub(crate) fn open_in<'s>(
+    ae: &AuthEnc,
+    cid: ClusterId,
+    nonce: u64,
+    sealed: &[u8],
+    now: SimTime,
+    freshness_window: SimTime,
+    scratch: &'s mut Vec<u8>,
+) -> Result<Opened<'s>, ProtocolError> {
+    let (_, sender_hops, inner) =
+        open_header_in(ae, cid, nonce, sealed, now, freshness_window, scratch)?;
+    Ok(Opened {
+        inner: InnerRef::decode(inner)?,
+        sender_hops,
+    })
+}
+
+/// Decrypts a Step-2 frame into `scratch` and checks its header. Returns
+/// `τ`, the sender's hop distance and the inner payload bytes.
+fn open_header_in<'s>(
+    ae: &AuthEnc,
+    cid: ClusterId,
+    nonce: u64,
+    sealed: &[u8],
+    now: SimTime,
+    freshness_window: SimTime,
+    scratch: &'s mut Vec<u8>,
+) -> Result<(SimTime, u32, &'s [u8]), ProtocolError> {
     let split = sealed
         .len()
         .checked_sub(ae.overhead())
@@ -334,15 +377,17 @@ pub fn unwrap_in(
     scratch.clear();
     scratch.extend_from_slice(&sealed[..split]);
     ae.open_in_place_detached(nonce, scratch, &sealed[split..])?;
-    parse_unwrapped(scratch, cid, now, cfg)
+    parse_header(scratch, cid, now, freshness_window)
 }
 
-fn parse_unwrapped(
+/// Checks a decrypted Step-2 header — the CID echo, then freshness — and
+/// splits off the inner payload.
+fn parse_header(
     pt: &[u8],
     cid: ClusterId,
     now: SimTime,
-    cfg: &ProtocolConfig,
-) -> Result<Unwrapped, ProtocolError> {
+    freshness_window: SimTime,
+) -> Result<(SimTime, u32, &[u8]), ProtocolError> {
     if pt.len() < 16 {
         return Err(ProtocolError::Malformed);
     }
@@ -354,15 +399,10 @@ fn parse_unwrapped(
     }
     let sender_hops = buf.get_u32();
     let age = now.saturating_sub(tau);
-    if age > cfg.freshness_window {
+    if age > freshness_window {
         return Err(ProtocolError::Stale);
     }
-    let inner = Inner::decode(buf)?;
-    Ok(Unwrapped {
-        inner,
-        tau,
-        sender_hops,
-    })
+    Ok((tau, sender_hops, buf))
 }
 
 /// Base-station-side sliding counter state for one source (implicit
@@ -412,21 +452,6 @@ mod tests {
 
     fn cfg() -> ProtocolConfig {
         ProtocolConfig::default()
-    }
-
-    #[test]
-    fn sealer_cache_forget_drops_only_that_key() {
-        let a = Key128::from_bytes([1; 16]);
-        let b = Key128::from_bytes([2; 16]);
-        let mut cache = SealerCache::new();
-        cache.get(&a);
-        cache.get(&b);
-        cache.forget(&a);
-        assert_eq!(cache.len(), 1);
-        cache.forget(&a); // idempotent
-        assert_eq!(cache.len(), 1);
-        cache.forget(&b);
-        assert_eq!(cache.len(), 0);
     }
 
     #[test]

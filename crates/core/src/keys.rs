@@ -7,7 +7,9 @@
 //! numbers and keys used in the network before the deployment phase";
 //! [`Provisioner`] plays the role of that manufacturing-time authority.
 
+use crate::forward::sealer;
 use std::collections::HashMap;
+use wsn_crypto::authenc::AuthEnc;
 use wsn_crypto::drbg::HmacDrbg;
 use wsn_crypto::keychain::{ChainVerifier, KeyChain};
 use wsn_crypto::prf::PrfKey;
@@ -23,21 +25,159 @@ pub struct NodeKeyMaterial {
     /// Potential cluster key `Kci = F(KMC, i)`: used only if this node
     /// elects itself cluster head.
     pub kci: Key128,
-    /// Master key `Km` for the setup phase. `None` after erasure, and never
-    /// present on nodes added after initial deployment.
+    /// Master key `Km` for the setup phase. Never present on nodes added
+    /// after initial deployment; the running node erases it after setup.
     pub km: Option<Key128>,
     /// Master-cluster key `KMC`, loaded only into nodes added after initial
-    /// deployment (§IV-E). `None` after the join completes and erases it.
+    /// deployment (§IV-E); the running node erases it when its join
+    /// completes.
     pub kmc: Option<Key128>,
     /// Verifier state for the base station's revocation chain (`K0`
     /// preloaded at manufacture).
     pub chain: ChainVerifier,
 }
 
-impl NodeKeyMaterial {
-    /// Erases the master key (end of the cluster key setup phase: "all
-    /// nodes erase key Km from their memory").
-    pub fn erase_km(&mut self) {
+/// A key a running sensor holds, with the sealer built from it on first
+/// use.
+///
+/// The sealer holds `F(K, 0)` and `F(K, 1)`, which open and forge whatever
+/// `K` protects, so it lives exactly as long as the key: replacing the
+/// slot's key or dropping the slot drops the sealer with it. Storing it
+/// here also makes key and sealer one lookup on the receive path. A built
+/// slot keeps key and sealer together on the heap, because a node holds a
+/// handful of slots and most of them never seal or open anything; the
+/// unbuilt slot is the bare key, so an empty `Option<KeySlot>` costs no
+/// extra word.
+pub(crate) struct KeySlot(Slot);
+
+enum Slot {
+    Key(Key128),
+    Built(Box<Built>),
+}
+
+struct Built {
+    key: Key128,
+    sealer: AuthEnc,
+    /// Keys and sealers of the epochs ahead: `ahead[i]` is for
+    /// `F^(i+1)(key)`. Built only by [`KeySlot::sealer_ahead`].
+    ahead: Vec<(Key128, AuthEnc)>,
+}
+
+impl KeySlot {
+    /// A slot holding `key`, its sealer not built yet.
+    pub(crate) fn new(key: Key128) -> Self {
+        KeySlot(Slot::Key(key))
+    }
+
+    /// The key.
+    pub(crate) fn key(&self) -> Key128 {
+        match &self.0 {
+            Slot::Key(key) => *key,
+            Slot::Built(built) => built.key,
+        }
+    }
+
+    /// Rolls the key one refresh epoch forward, `K ← F(K)`, dropping the
+    /// old key's sealer.
+    pub(crate) fn hash_step(&mut self) {
+        *self = KeySlot::new(crate::refresh::hash_step(&self.key()));
+    }
+
+    /// The sealer for the key, built on first use.
+    pub(crate) fn sealer(&mut self) -> &AuthEnc {
+        &self.built().sealer
+    }
+
+    /// The sealer for the key `k ≥ 1` refresh epochs ahead, `F^k(K)`: the
+    /// candidates a node that slept through epochs tries. They are built
+    /// on first use and kept with this key, so every later frame that
+    /// fails under it costs no key expansion.
+    pub(crate) fn sealer_ahead(&mut self, k: usize) -> &AuthEnc {
+        assert!(k >= 1, "epoch 0 is the slot's own key");
+        let built = self.built();
+        while built.ahead.len() < k {
+            let last = built.ahead.last().map_or(built.key, |&(key, _)| key);
+            let next = crate::refresh::hash_step(&last);
+            built.ahead.push((next, sealer(&next)));
+        }
+        &built.ahead[k - 1].1
+    }
+
+    fn built(&mut self) -> &mut Built {
+        if let Slot::Key(key) = self.0 {
+            self.0 = Slot::Built(Box::new(Built {
+                key,
+                sealer: sealer(&key),
+                ahead: Vec::new(),
+            }));
+        }
+        match &mut self.0 {
+            Slot::Built(built) => built,
+            Slot::Key(_) => unreachable!("built above"),
+        }
+    }
+
+    /// Every sealer built for this key: its own and those of the epochs
+    /// ahead.
+    #[cfg(test)]
+    pub(crate) fn built_sealers(&self) -> impl Iterator<Item = &AuthEnc> {
+        let built = match &self.0 {
+            Slot::Key(_) => None,
+            Slot::Built(built) => Some(built),
+        };
+        built
+            .into_iter()
+            .flat_map(|b| std::iter::once(&b.sealer).chain(b.ahead.iter().map(|(_, ae)| ae)))
+    }
+
+    /// Overwrites the key material with zeros.
+    fn zeroize(&mut self) {
+        match &mut self.0 {
+            Slot::Key(key) => key.zeroize(),
+            Slot::Built(built) => built.key.zeroize(),
+        }
+    }
+}
+
+impl std::fmt::Debug for KeySlot {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("KeySlot")
+            .field("key", &self.key())
+            .field("sealer_built", &matches!(self.0, Slot::Built(_)))
+            .finish()
+    }
+}
+
+/// A sensor's provisioned keys as its running state machine holds them:
+/// [`NodeKeyMaterial`] with `Ki` and `Km` in [`KeySlot`]s, so erasing
+/// `Km` erases its sealer too.
+#[derive(Debug)]
+pub(crate) struct SensorKeys {
+    pub(crate) id: u32,
+    pub(crate) ki: KeySlot,
+    pub(crate) kci: Key128,
+    pub(crate) km: Option<KeySlot>,
+    pub(crate) kmc: Option<Key128>,
+    pub(crate) chain: ChainVerifier,
+}
+
+impl From<NodeKeyMaterial> for SensorKeys {
+    fn from(m: NodeKeyMaterial) -> Self {
+        SensorKeys {
+            id: m.id,
+            ki: KeySlot::new(m.ki),
+            kci: m.kci,
+            km: m.km.map(KeySlot::new),
+            kmc: m.kmc,
+            chain: m.chain,
+        }
+    }
+}
+
+impl SensorKeys {
+    /// Erases the master key and its sealer (end of the cluster key
+    /// setup phase: "all nodes erase key Km from their memory").
+    pub(crate) fn erase_km(&mut self) {
         if let Some(mut km) = self.km.take() {
             km.zeroize();
         }
@@ -45,7 +185,7 @@ impl NodeKeyMaterial {
 
     /// Erases the master-cluster key (end of the node-addition phase:
     /// "the master key KMC is deleted from the memory of the nodes").
-    pub fn erase_kmc(&mut self) {
+    pub(crate) fn erase_kmc(&mut self) {
         if let Some(mut kmc) = self.kmc.take() {
             kmc.zeroize();
         }
@@ -214,8 +354,8 @@ mod tests {
     #[test]
     fn erase_km() {
         let mut p = Provisioner::new(1);
-        let mut m = p.provision(4);
-        assert!(m.km.is_some());
+        let mut m = SensorKeys::from(p.provision(4));
+        m.km.as_mut().expect("provisioned with Km").sealer();
         m.erase_km();
         assert!(m.km.is_none());
         m.erase_km(); // idempotent
@@ -244,7 +384,7 @@ mod tests {
         assert_eq!(m.ki, m2.ki);
         assert_eq!(m.kci, m2.kci);
         // And KMC is erasable.
-        let mut m = m;
+        let mut m = SensorKeys::from(m);
         m.erase_kmc();
         assert!(m.kmc.is_none());
         m.erase_kmc(); // idempotent

@@ -608,7 +608,46 @@ impl DataUnit {
         b.put_slice(&self.body);
     }
 
-    fn decode(mut buf: &[u8]) -> Result<DataUnit, ProtocolError> {
+    fn decode(buf: &[u8]) -> Result<DataUnit, ProtocolError> {
+        DataView::decode(buf).map(|view| view.to_unit())
+    }
+
+    /// The unit as a [`DataView`] borrowing its body.
+    fn view(&self) -> DataView<'_> {
+        DataView {
+            src: self.src,
+            ctr: self.ctr,
+            sealed: self.sealed,
+            body: &self.body,
+        }
+    }
+
+    /// A stable dedup key for in-network duplicate suppression: source plus
+    /// a hash of the payload (counter-independent, so the same reading
+    /// forwarded along two paths collapses).
+    pub fn dedup_key(&self) -> u64 {
+        self.view().dedup_key()
+    }
+}
+
+/// A [`DataUnit`] parsed in place, its body borrowed from the decrypted
+/// buffer. Every receiver in range parses each data frame it overhears,
+/// and only a node that relays the unit needs an owned copy.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct DataView<'a> {
+    /// Originating node.
+    pub src: u32,
+    /// Source's end-to-end counter, if transmitted.
+    pub ctr: Option<u64>,
+    /// Whether `body` is Step-1 sealed.
+    pub sealed: bool,
+    /// The payload.
+    pub body: &'a [u8],
+}
+
+impl<'a> DataView<'a> {
+    /// Parses a data unit (the bytes after its inner tag). Never panics.
+    pub fn decode(mut buf: &'a [u8]) -> Result<Self, ProtocolError> {
         if buf.remaining() < 5 {
             return Err(ProtocolError::Malformed);
         }
@@ -626,25 +665,69 @@ impl DataUnit {
         } else {
             None
         };
-        Ok(DataUnit {
+        Ok(DataView {
             src,
             ctr,
             sealed,
-            body: Bytes::copy_from_slice(buf),
+            body: buf,
         })
     }
 
-    /// A stable dedup key for in-network duplicate suppression: source plus
-    /// a hash of the payload (counter-independent, so the same reading
-    /// forwarded along two paths collapses).
+    /// An owned copy of the unit.
+    pub fn to_unit(&self) -> DataUnit {
+        DataUnit {
+            src: self.src,
+            ctr: self.ctr,
+            sealed: self.sealed,
+            body: Bytes::copy_from_slice(self.body),
+        }
+    }
+
+    /// See [`DataUnit::dedup_key`].
     pub fn dedup_key(&self) -> u64 {
         // FNV-1a over src | body — cheap and adequate for a dedup cache.
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &byte in self.src.to_be_bytes().iter().chain(self.body.iter()) {
+        for &byte in self.src.to_be_bytes().iter().chain(self.body) {
             h ^= byte as u64;
             h = h.wrapping_mul(0x0000_0100_0000_01B3);
         }
         h
+    }
+}
+
+/// An inner payload as a receiver parses it: a data unit stays a
+/// [`DataView`] over the decrypted buffer, and every other variant, none
+/// of which carries a body, is an owned [`Inner`].
+#[derive(Clone, Debug, PartialEq)]
+pub enum InnerRef<'a> {
+    /// [`Inner::Data`].
+    Data(DataView<'a>),
+    /// [`Inner::SinkData`].
+    SinkData {
+        /// Target sink's node id.
+        sink: u32,
+        /// The reading in flight.
+        unit: DataView<'a>,
+    },
+    /// Any other variant; never [`Inner::Data`] or [`Inner::SinkData`].
+    Control(Inner),
+}
+
+impl<'a> InnerRef<'a> {
+    /// Parses an inner payload; accepts exactly what [`Inner::decode`]
+    /// accepts. Never panics.
+    pub fn decode(buf: &'a [u8]) -> Result<Self, ProtocolError> {
+        match buf.split_first() {
+            Some((&I_DATA, unit)) => DataView::decode(unit).map(InnerRef::Data),
+            Some((&I_SINK_DATA, mut rest)) => {
+                if rest.remaining() < 4 {
+                    return Err(ProtocolError::Malformed);
+                }
+                let sink = rest.get_u32();
+                DataView::decode(rest).map(|unit| InnerRef::SinkData { sink, unit })
+            }
+            _ => Inner::decode(buf).map(InnerRef::Control),
+        }
     }
 }
 

@@ -22,13 +22,11 @@
 use crate::config::{CounterMode, ProtocolConfig, RefreshMode};
 use crate::error::ProtocolError;
 use crate::evict;
-use crate::forward::{
-    e2e_seal_with, open_setup_with, seal_setup_with, unwrap_in, wrap_frame, SealerCache,
-};
+use crate::forward::{e2e_seal_with, open_in, open_setup_with, seal_setup_with, wrap_frame};
 use crate::fusion::{DedupCache, PeekAggregator};
 use crate::join::{join_tag, verify_join_tag};
-use crate::keys::NodeKeyMaterial;
-use crate::msg::{ClusterId, DataUnit, Inner, Message};
+use crate::keys::{KeySlot, NodeKeyMaterial, SensorKeys};
+use crate::msg::{ClusterId, DataUnit, DataView, Inner, InnerRef, Message};
 use crate::recovery::{self, RecoveryState, RetxEntry, RetxKind};
 use crate::refresh;
 use crate::resource::{self, Admission, ResourceState};
@@ -157,19 +155,15 @@ pub struct PendingReading {
 /// The set `S`: keys of neighboring clusters, sorted by cluster id.
 /// Figure 6 puts it at 2–4.5 entries, where a sorted vector is smaller
 /// than a hash table and iterates in a fixed order.
-#[derive(Clone, Debug, Default)]
-struct NeighborKeys(Vec<(ClusterId, Key128)>);
+#[derive(Debug, Default)]
+struct NeighborKeys(Vec<(ClusterId, KeySlot)>);
 
 impl NeighborKeys {
     fn find(&self, cid: ClusterId) -> Result<usize, usize> {
         self.0.binary_search_by_key(&cid, |&(c, _)| c)
     }
 
-    fn get(&self, cid: ClusterId) -> Option<Key128> {
-        self.find(cid).ok().map(|i| self.0[i].1)
-    }
-
-    fn get_mut(&mut self, cid: ClusterId) -> Option<&mut Key128> {
+    fn get_mut(&mut self, cid: ClusterId) -> Option<&mut KeySlot> {
         let i = self.find(cid).ok()?;
         Some(&mut self.0[i].1)
     }
@@ -178,15 +172,15 @@ impl NeighborKeys {
         self.find(cid).is_ok()
     }
 
-    /// Inserts or updates the key of `cid`.
-    fn insert(&mut self, cid: ClusterId, kc: Key128) {
+    /// Inserts or replaces the key of `cid`.
+    fn insert(&mut self, cid: ClusterId, slot: KeySlot) {
         match self.find(cid) {
-            Ok(i) => self.0[i].1 = kc,
-            Err(i) => self.0.insert(i, (cid, kc)),
+            Ok(i) => self.0[i].1 = slot,
+            Err(i) => self.0.insert(i, (cid, slot)),
         }
     }
 
-    fn remove(&mut self, cid: ClusterId) -> Option<Key128> {
+    fn remove(&mut self, cid: ClusterId) -> Option<KeySlot> {
         let i = self.find(cid).ok()?;
         Some(self.0.remove(i).1)
     }
@@ -228,10 +222,10 @@ static IDLE_RECOVERY: RecoveryState = RecoveryState::IDLE;
 pub struct ProtocolNode {
     /// The deployment's configuration, shared by every sensor.
     cfg: Arc<ProtocolConfig>,
-    keys: NodeKeyMaterial,
+    keys: SensorKeys,
     role: Role,
     cid: Option<ClusterId>,
-    cluster_key: Option<Key128>,
+    cluster_key: Option<KeySlot>,
     neighbor_keys: NeighborKeys,
     /// Per-sender message sequence (CTR nonce uniqueness).
     seq: u64,
@@ -253,9 +247,6 @@ pub struct ProtocolNode {
     muted: bool,
     /// Join-responses collected while `role == Joining`, in arrival order.
     join_responses: Vec<(ClusterId, Key128)>,
-    /// Cached cipher schedules, one per base key this node seals/opens
-    /// under — steady-state traffic never re-expands a key schedule.
-    sealers: SealerCache,
     /// Reusable decrypt buffer for the receive path (one per node, not one
     /// allocation per overheard frame).
     rx_scratch: Vec<u8>,
@@ -277,7 +268,7 @@ impl ProtocolNode {
         let gradients = Gradients::new(cfg.sinks.k());
         ProtocolNode {
             cfg,
-            keys,
+            keys: keys.into(),
             role: Role::Undecided,
             cid: None,
             cluster_key: None,
@@ -292,7 +283,6 @@ impl ProtocolNode {
             muted: false,
             pending: VecDeque::new(),
             join_responses: Vec::new(),
-            sealers: SealerCache::new(),
             rx_scratch: Vec::new(),
             resource: ResourceState::default(),
             stats: NodeStats::default(),
@@ -448,10 +438,15 @@ impl ProtocolNode {
     pub fn extract_keys(&self) -> CapturedKeys {
         CapturedKeys {
             id: self.keys.id,
-            ki: self.keys.ki,
-            cluster: self.cid.zip(self.cluster_key),
-            neighbor_keys: self.neighbor_keys.0.clone(),
-            km: self.keys.km,
+            ki: self.keys.ki.key(),
+            cluster: self.cid.zip(self.cluster_key.as_ref().map(KeySlot::key)),
+            neighbor_keys: self
+                .neighbor_keys
+                .0
+                .iter()
+                .map(|(c, s)| (*c, s.key()))
+                .collect(),
+            km: self.keys.km.as_ref().map(KeySlot::key),
             kmc: self.keys.kmc,
         }
     }
@@ -478,11 +473,11 @@ impl ProtocolNode {
     /// Applies a hash refresh locally: own key and every key in `S` roll
     /// forward one epoch. (Driven at the epoch boundary; zero messages.)
     pub fn apply_hash_refresh(&mut self) {
-        if let Some(kc) = self.cluster_key.as_mut() {
-            *kc = refresh::hash_step(kc);
+        if let Some(slot) = self.cluster_key.as_mut() {
+            slot.hash_step();
         }
-        for (_, kc) in self.neighbor_keys.0.iter_mut() {
-            *kc = refresh::hash_step(kc);
+        for (_, slot) in self.neighbor_keys.0.iter_mut() {
+            slot.hash_step();
         }
         self.epoch += 1;
         // Pending ARQ frames wrapped under the retired epoch can never
@@ -501,18 +496,20 @@ impl ProtocolNode {
         if self.role != Role::Head || self.revoked {
             return None;
         }
-        let (cid, old_kc) = (self.cid?, self.cluster_key?);
+        let cid = self.cid.filter(|_| self.cluster_key.is_some())?;
         let inner = Inner::RefreshHello {
             epoch: self.epoch + 1,
             new_kc,
         };
-        let frame = self.seal(cid, old_kc, self.legacy_route(), now, &inner);
+        let frame = self.seal(cid, self.legacy_route(), now, &inner);
+        // Adopt the new key immediately.
+        let retired = self.cluster_key.replace(KeySlot::new(new_kc));
         if self.cfg.recovery.enabled {
             // Acknowledged refresh: track the broadcast until the first
             // member confirms. ACKs will arrive under the key being
             // retired, so keep it around. The driver arms [`TIMER_RETX`]
             // (this runs outside a simulation callback, so no `Ctx` here).
-            self.recovery_mut().prev_cluster_key = Some(old_kc);
+            self.recovery_mut().prev_cluster_key = retired;
             let res = self.cfg.resources;
             let pending = &self.recovery_state().pending;
             if res.enabled && pending.len() >= res.max_retx_pending {
@@ -537,8 +534,6 @@ impl ProtocolNode {
             let depth = pending.len();
             self.resource.peak_retx = self.resource.peak_retx.max(depth);
         }
-        // Adopt the new key immediately.
-        self.cluster_key = Some(new_kc);
         self.epoch += 1;
         Some(frame)
     }
@@ -549,27 +544,27 @@ impl ProtocolNode {
         s
     }
 
-    /// Seals `inner` as one Step-2 frame under cluster `(cid, key)`,
-    /// stamped `now` and carrying our distance along `route`.
-    fn seal(
-        &mut self,
-        cid: ClusterId,
-        key: Key128,
-        route: Route,
-        now: SimTime,
-        inner: &Inner,
-    ) -> Bytes {
+    /// Seals `inner` as one Step-2 frame under the key this node holds for
+    /// cluster `cid`, stamped `now` and carrying our distance along
+    /// `route`.
+    fn seal(&mut self, cid: ClusterId, route: Route, now: SimTime, inner: &Inner) -> Bytes {
         let seq = self.next_seq();
         let hops = self.gradients.get(route).hops();
-        wrap_frame(
-            self.sealers.get(&key),
-            cid,
-            self.keys.id,
-            seq,
-            now,
-            hops,
-            inner,
-        )
+        let id = self.keys.id;
+        let slot = self
+            .cluster_slot(cid)
+            .expect("a node seals only under a cluster key it holds");
+        wrap_frame(slot.sealer(), cid, id, seq, now, hops, inner)
+    }
+
+    /// Seals a setup payload `(id, key)` under `Km`; `None` once `Km` is
+    /// erased.
+    fn seal_under_km(&mut self, id: u32, key: Key128) -> Option<(u64, Bytes)> {
+        self.keys.km.as_ref()?;
+        let seq = self.next_seq();
+        let keys = &mut self.keys;
+        let km = keys.km.as_mut()?;
+        Some(seal_setup_with(km.sealer(), keys.id, seq, id, &key))
     }
 
     /// The route the legacy wire tags name (see [`Route::legacy`]).
@@ -596,18 +591,10 @@ impl ProtocolNode {
     fn become_head(&mut self, ctx: &mut impl Transport, announce: bool) {
         self.role = Role::Head;
         self.cid = Some(self.keys.id);
-        self.cluster_key = Some(self.keys.kci);
+        self.cluster_key = Some(KeySlot::new(self.keys.kci));
         ctx.trace(TraceEvent::BecameHead);
         if announce {
-            if let Some(km) = self.keys.km {
-                let seq = self.next_seq();
-                let (nonce, sealed) = seal_setup_with(
-                    self.sealers.get(&km),
-                    self.keys.id,
-                    seq,
-                    self.keys.id,
-                    &self.keys.kci,
-                );
+            if let Some((nonce, sealed)) = self.seal_under_km(self.keys.id, self.keys.kci) {
                 ctx.broadcast(Message::Hello { nonce, sealed }.encode());
                 ctx.trace(TraceEvent::HelloSent);
             }
@@ -615,14 +602,12 @@ impl ProtocolNode {
     }
 
     fn broadcast_link_advert(&mut self, ctx: &mut impl Transport) {
-        let (Some(cid), Some(kc)) = (self.cid, self.cluster_key) else {
+        let (Some(cid), Some(kc)) = (self.cid, self.cluster_key.as_ref().map(KeySlot::key)) else {
             return;
         };
-        let Some(km) = self.keys.km else {
+        let Some((nonce, sealed)) = self.seal_under_km(cid, kc) else {
             return;
         };
-        let seq = self.next_seq();
-        let (nonce, sealed) = seal_setup_with(self.sealers.get(&km), self.keys.id, seq, cid, &kc);
         ctx.broadcast(Message::LinkAdvert { nonce, sealed }.encode());
         ctx.trace(TraceEvent::LinkAdvertSent);
     }
@@ -649,12 +634,7 @@ impl ProtocolNode {
         let ctr = self.e2e_ctr;
         self.e2e_ctr += 1;
         let body = if reading.sealed {
-            e2e_seal_with(
-                self.sealers.get(&self.keys.ki),
-                self.keys.id,
-                ctr,
-                &reading.data,
-            )
+            e2e_seal_with(self.keys.ki.sealer(), self.keys.id, ctr, &reading.data)
         } else {
             Bytes::from(reading.data)
         };
@@ -694,10 +674,8 @@ impl ProtocolNode {
         route: Route,
         inner: &Inner,
     ) -> Option<Bytes> {
-        let (Some(cid), Some(kc)) = (self.cid, self.cluster_key) else {
-            return None;
-        };
-        let frame = self.seal(cid, kc, route, ctx.now(), inner);
+        let cid = self.cid.filter(|_| self.cluster_key.is_some())?;
+        let frame = self.seal(cid, route, ctx.now(), inner);
         ctx.broadcast(frame.clone());
         Some(frame)
     }
@@ -705,17 +683,17 @@ impl ProtocolNode {
     // --- message handling ----------------------------------------------
 
     fn handle_hello(&mut self, ctx: &mut impl Transport, nonce: u64, sealed: &[u8]) {
-        let Some(km) = self.keys.km else {
+        let Some(km) = self.keys.km.as_mut() else {
             self.stats.drops.wrong_phase += 1;
             return;
         };
-        match open_setup_with(self.sealers.get(&km), nonce, sealed) {
+        match open_setup_with(km.sealer(), nonce, sealed) {
             Ok((head_id, kc)) => {
                 if self.role == Role::Undecided {
                     // Join the first head heard; no transmission at all.
                     self.role = Role::Member;
                     self.cid = Some(head_id);
-                    self.cluster_key = Some(kc);
+                    self.cluster_key = Some(KeySlot::new(kc));
                     ctx.cancel_timer(TIMER_ELECTION);
                     ctx.trace(TraceEvent::ClusterJoined { head: head_id });
                 }
@@ -726,11 +704,11 @@ impl ProtocolNode {
     }
 
     fn handle_link_advert(&mut self, ctx: &mut impl Transport, nonce: u64, sealed: &[u8]) {
-        let Some(km) = self.keys.km else {
+        let Some(km) = self.keys.km.as_mut() else {
             self.stats.drops.wrong_phase += 1;
             return;
         };
-        match open_setup_with(self.sealers.get(&km), nonce, sealed) {
+        match open_setup_with(km.sealer(), nonce, sealed) {
             Ok((cid, kc)) => {
                 // "Nodes of the same cluster simply ignore the message."
                 if self.cid != Some(cid) && self.bounded_neighbor_insert(ctx, cid, kc) {
@@ -764,7 +742,7 @@ impl ProtocolNode {
             });
             return false;
         }
-        self.neighbor_keys.insert(cid, kc);
+        self.neighbor_keys.insert(cid, KeySlot::new(kc));
         self.note_neighbor_peak();
         true
     }
@@ -776,11 +754,13 @@ impl ProtocolNode {
             .max(self.neighbor_keys.len());
     }
 
-    fn cluster_key_for(&self, cid: ClusterId) -> Option<Key128> {
+    /// The slot of the key this node holds for cluster `cid`: its own
+    /// cluster key or the entry in `S`.
+    fn cluster_slot(&mut self, cid: ClusterId) -> Option<&mut KeySlot> {
         if self.cid == Some(cid) {
-            self.cluster_key
+            self.cluster_key.as_mut()
         } else {
-            self.neighbor_keys.get(cid)
+            self.neighbor_keys.get_mut(cid)
         }
     }
 
@@ -792,12 +772,11 @@ impl ProtocolNode {
         nonce: u64,
         sealed: &[u8],
     ) {
-        let res_on = self.cfg.resources.enabled;
         // Per-neighbor admission control runs *before* any cryptographic
         // work: a flooding neighbor costs us a BTreeMap lookup, not a
         // decrypt. Setup and control frames (HELLO, LINK, revocation,
         // join) never pass through here and are never rate limited.
-        if res_on {
+        if self.cfg.resources.enabled {
             match self.resource.admit(&self.cfg.resources, from, ctx.now()) {
                 Admission::Admit => {}
                 Admission::Throttle => {
@@ -809,23 +788,31 @@ impl ProtocolNode {
                 Admission::Quarantined => return,
             }
         }
-        let Some(key) = self.cluster_key_for(cid) else {
+        let mut scratch = std::mem::take(&mut self.rx_scratch);
+        self.open_wrapped(ctx, from, cid, nonce, sealed, &mut scratch);
+        self.rx_scratch = scratch;
+    }
+
+    /// Opens a Step-2 frame into `scratch` under the key held for `cid`
+    /// and dispatches its inner payload, which stays borrowed from
+    /// `scratch`.
+    fn open_wrapped(
+        &mut self,
+        ctx: &mut impl Transport,
+        from: NodeId,
+        cid: ClusterId,
+        nonce: u64,
+        sealed: &[u8],
+        scratch: &mut Vec<u8>,
+    ) {
+        let res_on = self.cfg.resources.enabled;
+        let (now, window) = (ctx.now(), self.cfg.freshness_window);
+        let Some(slot) = self.cluster_slot(cid) else {
             self.stats.drops.unknown_cluster += 1;
             return;
         };
-        let mut scratch = std::mem::take(&mut self.rx_scratch);
-        let result = unwrap_in(
-            self.sealers.get(&key),
-            cid,
-            nonce,
-            sealed,
-            ctx.now(),
-            &self.cfg,
-            &mut scratch,
-        );
-        self.rx_scratch = scratch;
-        let unwrapped = match result {
-            Ok(u) => u,
+        let opened = match open_in(slot.sealer(), cid, nonce, sealed, now, window, scratch) {
+            Ok(opened) => opened,
             Err(ProtocolError::Stale) => {
                 // Authentication succeeded — freshness is checked after
                 // the MAC — so the sender holds the key.
@@ -837,8 +824,8 @@ impl ProtocolNode {
             }
             Err(ProtocolError::Crypto(_)) => {
                 if self.cfg.recovery.enabled {
-                    if self.try_prev_key_ack(ctx, cid, nonce, sealed)
-                        || self.try_epoch_catchup(ctx, cid, nonce, sealed)
+                    if self.try_prev_key_ack(ctx, cid, nonce, sealed, scratch)
+                        || self.try_epoch_catchup(ctx, cid, nonce, sealed, scratch)
                     {
                         // Salvaged: the frame verified under a retired or
                         // ratcheted key. A valid MAC by any route resets
@@ -875,42 +862,46 @@ impl ProtocolNode {
         if res_on {
             self.resource.note_auth_success(from);
         }
-        self.dispatch_inner(ctx, cid, key, unwrapped.inner, unwrapped.sender_hops);
+        self.dispatch_inner(ctx, cid, opened.inner, opened.sender_hops);
     }
 
     fn dispatch_inner(
         &mut self,
         ctx: &mut impl Transport,
         outer_cid: ClusterId,
-        outer_key: Key128,
-        inner: Inner,
+        inner: InnerRef<'_>,
         sender_hops: u32,
     ) {
         let legacy = self.legacy_route();
         match inner {
-            Inner::SinkBeacon { .. } | Inner::SinkData { .. } if !self.cfg.sinks.enabled => {
+            InnerRef::SinkData { .. } | InnerRef::Control(Inner::SinkBeacon { .. })
+                if !self.cfg.sinks.enabled =>
+            {
                 self.stats.drops.wrong_phase += 1;
             }
-            Inner::Beacon => self.handle_beacon(ctx, legacy, outer_cid, sender_hops),
-            Inner::SinkBeacon { sink } => {
-                self.handle_beacon(ctx, Route(sink), outer_cid, sender_hops)
+            InnerRef::Data(unit) => self.handle_data(ctx, legacy, unit, sender_hops, outer_cid),
+            InnerRef::SinkData { sink, unit } => {
+                self.handle_data(ctx, Route(sink), unit, sender_hops, outer_cid)
             }
-            Inner::Data(unit) => {
-                self.handle_data(ctx, legacy, unit, sender_hops, outer_cid, outer_key)
-            }
-            Inner::SinkData { sink, unit } => {
-                self.handle_data(ctx, Route(sink), unit, sender_hops, outer_cid, outer_key)
-            }
-            Inner::RefreshHello { epoch, new_kc } => {
-                self.handle_refresh_hello(ctx, outer_cid, epoch, new_kc)
-            }
-            Inner::Ack { key } => self.handle_ack(ctx, key, false, Some(sender_hops)),
-            Inner::BusyAck { key } => self.handle_ack(ctx, key, true, Some(sender_hops)),
-            Inner::RouteRequest => self.handle_route_request(ctx, outer_cid, outer_key),
-            Inner::Heartbeat => self.handle_heartbeat(ctx, outer_cid),
-            Inner::NewHead { new_cid, new_kc } => {
-                self.handle_new_head(ctx, outer_cid, new_cid, new_kc)
-            }
+            InnerRef::Control(inner) => match inner {
+                Inner::Beacon => self.handle_beacon(ctx, legacy, outer_cid, sender_hops),
+                Inner::SinkBeacon { sink } => {
+                    self.handle_beacon(ctx, Route(sink), outer_cid, sender_hops)
+                }
+                Inner::RefreshHello { epoch, new_kc } => {
+                    self.handle_refresh_hello(ctx, outer_cid, epoch, new_kc)
+                }
+                Inner::Ack { key } => self.handle_ack(ctx, key, false, Some(sender_hops)),
+                Inner::BusyAck { key } => self.handle_ack(ctx, key, true, Some(sender_hops)),
+                Inner::RouteRequest => self.handle_route_request(ctx, outer_cid),
+                Inner::Heartbeat => self.handle_heartbeat(ctx, outer_cid),
+                Inner::NewHead { new_cid, new_kc } => {
+                    self.handle_new_head(ctx, outer_cid, new_cid, new_kc)
+                }
+                Inner::Data(_) | Inner::SinkData { .. } => {
+                    unreachable!("InnerRef::decode keeps data units borrowed")
+                }
+            },
         }
     }
 
@@ -939,10 +930,9 @@ impl ProtocolNode {
         &mut self,
         ctx: &mut impl Transport,
         route: Route,
-        unit: DataUnit,
+        unit: DataView<'_>,
         sender_hops: u32,
         outer_cid: ClusterId,
-        outer_key: Key128,
     ) {
         let rec_on = self.cfg.recovery.enabled;
         let dkey = unit.dedup_key();
@@ -960,7 +950,7 @@ impl ProtocolNode {
             // A duplicate from uphill is (also) a retransmission aimed at
             // us: our earlier ACK was lost, so confirm again.
             if rec_on && downhill {
-                self.send_ack(ctx, route, outer_cid, outer_key, dkey);
+                self.send_ack(ctx, route, outer_cid, dkey);
             }
             return;
         }
@@ -970,22 +960,22 @@ impl ProtocolNode {
             // "some processing of the raw data to discard extraneous
             // reports" (§II).
             if self.cfg.fusion_suppression && !unit.sealed {
-                if self.is_redundant_reading(&unit.body) {
+                if self.is_redundant_reading(unit.body) {
                     self.stats.fused_duplicates += 1;
                     // Suppressed, but received: the uphill sender must
                     // still stop retransmitting.
                     if rec_on {
-                        self.send_ack(ctx, route, outer_cid, outer_key, dkey);
+                        self.send_ack(ctx, route, outer_cid, dkey);
                     }
                     return;
                 }
-                self.extras_mut().peek.observe(&unit.body);
+                self.extras_mut().peek.observe(unit.body);
             }
             self.stats.forwarded += 1;
             if rec_on {
-                self.send_ack(ctx, route, outer_cid, outer_key, dkey);
+                self.send_ack(ctx, route, outer_cid, dkey);
             }
-            let inner = route.data(&self.cfg.sinks, unit);
+            let inner = route.data(&self.cfg.sinks, unit.to_unit());
             if let Some(frame) = self.broadcast_wrapped(ctx, route, &inner) {
                 self.enroll_retx(ctx, dkey, frame, RetxKind::Data, route);
             }
@@ -1012,22 +1002,24 @@ impl ProtocolNode {
                 // refresh exactly as every node relayed its key during link
                 // establishment. Epoch gating makes this flood terminate:
                 // once updated, duplicates carry epoch == self.epoch.
-                if let (Some(cid), Some(old_kc)) = (self.cid, self.cluster_key) {
+                if self.cluster_key.is_some() {
                     let inner = Inner::RefreshHello { epoch, new_kc };
                     let route = self.legacy_route();
-                    let frame = self.seal(cid, old_kc, route, ctx.now(), &inner);
+                    let frame = self.seal(outer_cid, route, ctx.now(), &inner);
                     ctx.broadcast(frame);
                     if self.cfg.recovery.enabled {
                         // Confirm receipt to the head — necessarily under
                         // the key being retired (the head keeps it one
-                        // epoch for exactly this) — and keep the old key
-                        // ourselves for stragglers' ACKs.
-                        let ack_key = recovery::refresh_ack_key(cid, epoch);
-                        self.send_ack(ctx, route, cid, old_kc, ack_key);
-                        self.recovery_mut().prev_cluster_key = Some(old_kc);
+                        // epoch for exactly this).
+                        let ack_key = recovery::refresh_ack_key(outer_cid, epoch);
+                        self.send_ack(ctx, route, outer_cid, ack_key);
                     }
                 }
-                self.cluster_key = Some(new_kc);
+                let retired = self.cluster_key.replace(KeySlot::new(new_kc));
+                if self.cfg.recovery.enabled && retired.is_some() {
+                    // Keep the old key ourselves for stragglers' ACKs.
+                    self.recovery_mut().prev_cluster_key = retired;
+                }
                 self.epoch = epoch;
                 ctx.trace(TraceEvent::KeyRefreshed {
                     cid: outer_cid,
@@ -1036,7 +1028,7 @@ impl ProtocolNode {
             }
         } else if let Some(entry) = self.neighbor_keys.get_mut(outer_cid) {
             // A neighboring cluster re-keys; roll our S entry.
-            *entry = new_kc;
+            *entry = KeySlot::new(new_kc);
             ctx.trace(TraceEvent::KeyRefreshed {
                 cid: outer_cid,
                 epoch,
@@ -1088,6 +1080,10 @@ impl ProtocolNode {
             if self.cid == Some(*cid) {
                 self.cid = None;
                 self.cluster_key = None;
+                // The previous epoch's key of a revoked cluster goes too.
+                if let Some(x) = self.extras.as_deref_mut() {
+                    x.recovery.prev_cluster_key = None;
+                }
                 self.revoked = true;
                 dropped = true;
             }
@@ -1173,7 +1169,7 @@ impl ProtocolNode {
     }
 
     fn handle_join_request(&mut self, ctx: &mut impl Transport, from: NodeId, new_id: u32) {
-        let (Some(cid), Some(kc)) = (self.cid, self.cluster_key) else {
+        let (Some(cid), Some(kc)) = (self.cid, self.cluster_key.as_ref().map(KeySlot::key)) else {
             return;
         };
         if self.revoked {
@@ -1227,7 +1223,7 @@ impl ProtocolNode {
         let (own_cid, own_kc) = responses.remove(0);
         self.role = Role::Member;
         self.cid = Some(own_cid);
-        self.cluster_key = Some(own_kc);
+        self.cluster_key = Some(KeySlot::new(own_kc));
         let res = self.cfg.resources;
         for (cid, kc) in responses {
             if res.enabled
@@ -1237,7 +1233,7 @@ impl ProtocolNode {
                 self.resource.queue_drops += 1;
                 continue;
             }
-            self.neighbor_keys.insert(cid, kc);
+            self.neighbor_keys.insert(cid, KeySlot::new(kc));
         }
         self.note_neighbor_peak();
         self.keys.erase_kmc();
@@ -1338,21 +1334,14 @@ impl ProtocolNode {
     /// resource budgets on, a node whose custody map has passed the
     /// high-water mark confirms with [`Inner::BusyAck`] instead, telling
     /// upstream to back off before retrying through this hop.
-    fn send_ack(
-        &mut self,
-        ctx: &mut impl Transport,
-        route: Route,
-        cid: ClusterId,
-        key: Key128,
-        ack_key: u64,
-    ) {
+    fn send_ack(&mut self, ctx: &mut impl Transport, route: Route, cid: ClusterId, ack_key: u64) {
         let res = self.cfg.resources;
         let inner = if res.enabled && self.recovery_state().pending.len() >= res.tx_high_water {
             Inner::BusyAck { key: ack_key }
         } else {
             Inner::Ack { key: ack_key }
         };
-        let frame = self.seal(cid, key, route, ctx.now(), &inner);
+        let frame = self.seal(cid, route, ctx.now(), &inner);
         ctx.broadcast(frame);
         self.stats.acks_sent += 1;
     }
@@ -1458,12 +1447,7 @@ impl ProtocolNode {
     /// gradient to, under the *requester's* cluster key — decrypting the
     /// request proves we hold that key, and answering proves a live path:
     /// exactly the two properties a first hop needs.
-    fn handle_route_request(
-        &mut self,
-        ctx: &mut impl Transport,
-        outer_cid: ClusterId,
-        outer_key: Key128,
-    ) {
+    fn handle_route_request(&mut self, ctx: &mut impl Transport, outer_cid: ClusterId) {
         let rec = self.cfg.recovery;
         if !rec.enabled
             || self.gradients.nearest().is_none()
@@ -1478,7 +1462,7 @@ impl ProtocolNode {
         for route in (0..self.gradients.k()).map(Route) {
             if self.gradients.get(route).established() {
                 let beacon = route.beacon(&self.cfg.sinks);
-                let frame = self.seal(outer_cid, outer_key, route, ctx.now(), &beacon);
+                let frame = self.seal(outer_cid, route, ctx.now(), &beacon);
                 ctx.broadcast(frame);
             }
         }
@@ -1577,10 +1561,10 @@ impl ProtocolNode {
         // Window closed with no successor heard. Adopt the smallest-ID
         // neighboring cluster from S (deterministic tie-break), or run
         // for head ourselves as the last resort when S is empty.
-        match self.neighbor_keys.0.first().copied() {
-            Some((new_cid, new_kc)) => {
-                let old = self.cid.zip(self.cluster_key);
-                self.neighbor_keys.remove(new_cid);
+        match self.neighbor_keys.0.first().map(|&(c, _)| c) {
+            Some(new_cid) => {
+                let old = self.cid.zip(self.cluster_key.take());
+                let adopted = self.neighbor_keys.remove(new_cid);
                 if let Some((oc, ok)) = old {
                     // Keep the orphaned cluster's key: its traffic may
                     // still be in flight and we can keep forwarding it.
@@ -1590,7 +1574,7 @@ impl ProtocolNode {
                     self.note_neighbor_peak();
                 }
                 self.cid = Some(new_cid);
-                self.cluster_key = Some(new_kc);
+                self.cluster_key = adopted;
                 ctx.trace(TraceEvent::ClusterJoined { head: new_cid });
             }
             None => self.promote_to_head(ctx),
@@ -1602,20 +1586,27 @@ impl ProtocolNode {
     /// the current epoch — a key the base station already holds for every
     /// provisioned ID, so failover needs no base-station round trip.
     fn promote_to_head(&mut self, ctx: &mut impl Transport) {
-        let old = self.cid.zip(self.cluster_key);
         let new_cid = self.keys.id;
         let new_kc = refresh::hash_steps(&self.keys.kci, self.epoch);
+        // Announce under the OLD cluster key — the one credential the
+        // orphaned members share with us — sealed before it moves to `S`.
+        let announce = match self.cid {
+            Some(oc) if self.cluster_key.is_some() => {
+                let inner = Inner::NewHead { new_cid, new_kc };
+                Some(self.seal(oc, self.legacy_route(), ctx.now(), &inner))
+            }
+            _ => None,
+        };
+        let old = self.cid.zip(self.cluster_key.take());
         self.role = Role::Head;
         self.cid = Some(new_cid);
-        self.cluster_key = Some(new_kc);
+        self.cluster_key = Some(KeySlot::new(new_kc));
         if let Some((oc, ok)) = old {
             self.neighbor_keys.insert(oc, ok);
             self.note_neighbor_peak();
             ctx.trace(TraceEvent::ReElected { old_cid: oc });
-            // Announce under the OLD cluster key — the one credential the
-            // orphaned members share with us.
-            let inner = Inner::NewHead { new_cid, new_kc };
-            let frame = self.seal(oc, ok, self.legacy_route(), ctx.now(), &inner);
+        }
+        if let Some(frame) = announce {
             ctx.broadcast(frame);
         }
         ctx.trace(TraceEvent::BecameHead);
@@ -1643,17 +1634,18 @@ impl ProtocolNode {
             // Relay once under the old key so 2-hop orphans hear, then
             // adopt. Termination: after adoption the old CID moves to S,
             // so duplicates take the neighbor branch below (no relay).
-            let (Some(oc), Some(ok)) = (self.cid, self.cluster_key) else {
+            let Some(oc) = self.cid.filter(|_| self.cluster_key.is_some()) else {
                 return;
             };
             let inner = Inner::NewHead { new_cid, new_kc };
-            let frame = self.seal(oc, ok, self.legacy_route(), ctx.now(), &inner);
+            let frame = self.seal(oc, self.legacy_route(), ctx.now(), &inner);
             ctx.broadcast(frame);
-            self.neighbor_keys.insert(oc, ok);
+            if let Some(ok) = self.cluster_key.replace(KeySlot::new(new_kc)) {
+                self.neighbor_keys.insert(oc, ok);
+            }
             self.note_neighbor_peak();
             self.neighbor_keys.remove(new_cid);
             self.cid = Some(new_cid);
-            self.cluster_key = Some(new_kc);
             let rec = self.recovery_mut();
             rec.reelecting = false;
             rec.reelect_runner = false;
@@ -1676,29 +1668,21 @@ impl ProtocolNode {
         cid: ClusterId,
         nonce: u64,
         sealed: &[u8],
+        scratch: &mut Vec<u8>,
     ) -> bool {
         if self.cid != Some(cid) {
             return false;
         }
-        let Some(pk) = self.recovery_state().prev_cluster_key else {
+        let (now, window) = (ctx.now(), self.cfg.freshness_window);
+        let prev = self.extras.as_deref_mut();
+        let Some(pk) = prev.and_then(|x| x.recovery.prev_cluster_key.as_mut()) else {
             return false;
         };
-        let mut scratch = std::mem::take(&mut self.rx_scratch);
-        let result = unwrap_in(
-            self.sealers.get(&pk),
-            cid,
-            nonce,
-            sealed,
-            ctx.now(),
-            &self.cfg,
-            &mut scratch,
-        );
-        self.rx_scratch = scratch;
-        match result.map(|u| u.inner) {
-            Ok(Inner::Ack { key }) => self.handle_ack(ctx, key, false, None),
+        match open_in(pk.sealer(), cid, nonce, sealed, now, window, scratch).map(|o| o.inner) {
+            Ok(InnerRef::Control(Inner::Ack { key })) => self.handle_ack(ctx, key, false, None),
             // A congested member confirming a refresh under the retired
             // key: custody clears and the busy signal still counts.
-            Ok(Inner::BusyAck { key }) => self.handle_ack(ctx, key, true, None),
+            Ok(InnerRef::Control(Inner::BusyAck { key })) => self.handle_ack(ctx, key, true, None),
             _ => return false,
         }
         true
@@ -1714,59 +1698,29 @@ impl ProtocolNode {
         cid: ClusterId,
         nonce: u64,
         sealed: &[u8],
+        scratch: &mut Vec<u8>,
     ) -> bool {
         let rec = self.cfg.recovery;
         if self.cfg.refresh_mode != RefreshMode::Hash || rec.max_catchup_epochs == 0 {
             return false;
         }
-        let Some(base) = self.cluster_key_for(cid) else {
-            return false;
-        };
-        let mut candidate = base;
+        let (now, window) = (ctx.now(), self.cfg.freshness_window);
         for k in 1..=rec.max_catchup_epochs {
-            candidate = refresh::hash_step(&candidate);
-            let mut scratch = std::mem::take(&mut self.rx_scratch);
-            let result = unwrap_in(
-                self.sealers.get(&candidate),
-                cid,
-                nonce,
-                sealed,
-                ctx.now(),
-                &self.cfg,
-                &mut scratch,
-            );
-            self.rx_scratch = scratch;
-            match result {
-                Ok(u) => {
-                    let from_epoch = self.epoch;
-                    for _ in 0..k {
-                        self.apply_hash_refresh();
-                    }
-                    // Frames enrolled under pre-catch-up keys are
-                    // undecipherable noise now; drop them.
-                    self.recovery_mut().pending.clear();
-                    ctx.cancel_timer(TIMER_RETX);
-                    ctx.trace(TraceEvent::EpochCatchUp {
-                        from_epoch,
-                        to_epoch: self.epoch,
-                    });
-                    self.dispatch_inner(ctx, cid, candidate, u.inner, u.sender_hops);
+            let Some(slot) = self.cluster_slot(cid) else {
+                return false;
+            };
+            let ae = slot.sealer_ahead(k as usize);
+            match open_in(ae, cid, nonce, sealed, now, window, scratch) {
+                Ok(opened) => {
+                    self.catch_up(ctx, k);
+                    self.dispatch_inner(ctx, cid, opened.inner, opened.sender_hops);
                     return true;
                 }
                 Err(ProtocolError::Stale) => {
                     // The key matched (freshness is checked after auth):
                     // the catch-up is confirmed even though this
                     // particular frame is too old to act on.
-                    let from_epoch = self.epoch;
-                    for _ in 0..k {
-                        self.apply_hash_refresh();
-                    }
-                    self.recovery_mut().pending.clear();
-                    ctx.cancel_timer(TIMER_RETX);
-                    ctx.trace(TraceEvent::EpochCatchUp {
-                        from_epoch,
-                        to_epoch: self.epoch,
-                    });
+                    self.catch_up(ctx, k);
                     self.stats.drops.stale += 1;
                     return true;
                 }
@@ -1774,6 +1728,23 @@ impl ProtocolNode {
             }
         }
         false
+    }
+
+    /// Ratchets the whole key set `k` epochs forward after a confirmed
+    /// catch-up.
+    fn catch_up(&mut self, ctx: &mut impl Transport, k: u32) {
+        let from_epoch = self.epoch;
+        for _ in 0..k {
+            self.apply_hash_refresh();
+        }
+        // Frames enrolled under pre-catch-up keys are undecipherable noise
+        // now; drop them.
+        self.recovery_mut().pending.clear();
+        ctx.cancel_timer(TIMER_RETX);
+        ctx.trace(TraceEvent::EpochCatchUp {
+            from_epoch,
+            to_epoch: self.epoch,
+        });
     }
 }
 
@@ -1820,13 +1791,10 @@ impl ProtocolNode {
                 self.broadcast_link_advert(ctx);
             }
             TIMER_ERASE => {
-                if let Some(km) = &self.keys.km {
+                if self.keys.km.is_some() {
                     ctx.trace(TraceEvent::KmErased);
-                    // The cached sealer holds `F(Km, 0)` and `F(Km, 1)`,
-                    // which open and forge HELLO and LINK frames as well
-                    // as `Km` itself: erase it with the key.
-                    self.sealers.forget(km);
                 }
+                // Erases `Km` with its slot's sealer.
                 self.keys.erase_km();
                 self.arm_auto_refresh(ctx);
             }
@@ -2023,7 +1991,10 @@ impl App for ProtocolApp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::forward::seal_setup;
     use crate::keys::Provisioner;
+    use crate::setup::{run_setup, NetworkHandle, SetupParams};
+    use wsn_crypto::authenc::AuthEnc;
 
     fn node(id: u32) -> ProtocolNode {
         let mut p = Provisioner::new(1);
@@ -2057,18 +2028,19 @@ mod tests {
         // Manually cluster it for the test.
         n.role = Role::Head;
         n.cid = Some(2);
-        n.cluster_key = Some(n.keys.kci);
-        n.neighbor_keys.insert(9, Key128::from_bytes([9; 16]));
-        let before_own = n.cluster_key.unwrap();
-        let before_nbr = n.neighbor_keys.get(9).unwrap();
+        n.cluster_key = Some(KeySlot::new(n.keys.kci));
+        let before_nbr = Key128::from_bytes([9; 16]);
+        n.neighbor_keys.insert(9, KeySlot::new(before_nbr));
+        let before_own = n.keys.kci;
         n.apply_hash_refresh();
         assert_eq!(n.epoch(), 1);
-        assert_ne!(n.cluster_key.unwrap(), before_own);
+        let after = n.extract_keys();
+        assert_ne!(after.cluster.unwrap().1, before_own);
         assert_eq!(
-            n.neighbor_keys.get(9),
-            Some(refresh::hash_step(&before_nbr))
+            after.neighbor_keys,
+            vec![(9, refresh::hash_step(&before_nbr))]
         );
-        assert_eq!(n.cluster_key.unwrap(), refresh::hash_step(&before_own));
+        assert_eq!(after.cluster, Some((2, refresh::hash_step(&before_own))));
     }
 
     #[test]
@@ -2079,11 +2051,14 @@ mod tests {
             .is_none());
         n.role = Role::Head;
         n.cid = Some(2);
-        n.cluster_key = Some(n.keys.kci);
+        n.cluster_key = Some(KeySlot::new(n.keys.kci));
         let frame = n.initiate_recluster_refresh(Key128::from_bytes([1; 16]), 0);
         assert!(frame.is_some());
         assert_eq!(n.epoch(), 1);
-        assert_eq!(n.cluster_key.unwrap(), Key128::from_bytes([1; 16]));
+        assert_eq!(
+            n.extract_keys().cluster,
+            Some((2, Key128::from_bytes([1; 16])))
+        );
     }
 
     #[test]
@@ -2152,36 +2127,123 @@ mod tests {
     fn sensor_slot_stays_small() {
         // A deployment holds one of these per node, a million of them in
         // the million-node run: inline growth costs memory at that scale.
-        assert!(std::mem::size_of::<ProtocolNode>() <= 640);
-        assert!(std::mem::size_of::<ProtocolApp>() <= 640);
+        assert!(std::mem::size_of::<ProtocolNode>() <= 560);
+        assert!(std::mem::size_of::<ProtocolApp>() <= 560);
     }
 
-    #[test]
-    fn no_cached_sealer_opens_km_frames_after_erasure() {
-        use crate::forward::seal_setup;
-        use crate::setup::{run_setup, SetupParams};
+    /// Every sealer the node has built, in whichever key slot holds it.
+    fn built_sealers(n: &ProtocolNode) -> Vec<&AuthEnc> {
+        let slots = [
+            Some(&n.keys.ki),
+            n.keys.km.as_ref(),
+            n.cluster_key.as_ref(),
+            n.recovery_state().prev_cluster_key.as_ref(),
+        ];
+        slots
+            .into_iter()
+            .flatten()
+            .chain(n.neighbor_keys.0.iter().map(|(_, slot)| slot))
+            .flat_map(KeySlot::built_sealers)
+            .collect()
+    }
+
+    /// Whether any sealer the node has built opens a payload sealed under
+    /// `key`.
+    fn opens_under(n: &ProtocolNode, key: &Key128) -> bool {
+        let (nonce, sealed) = seal_setup(key, 3, 0, 3, &Key128::from_bytes([7; 16]));
+        built_sealers(n)
+            .into_iter()
+            .any(|ae| open_setup_with(ae, nonce, &sealed).is_ok())
+    }
+
+    /// The cluster keys the node holds: its own, the set `S`, and the
+    /// retired one kept for refresh ACKs.
+    fn cluster_keys(n: &ProtocolNode) -> Vec<Key128> {
+        let own = n.cluster_key.iter();
+        let prev = n.recovery_state().prev_cluster_key.iter();
+        let s = n.neighbor_keys.0.iter().map(|(_, slot)| slot);
+        own.chain(prev).chain(s).map(KeySlot::key).collect()
+    }
+
+    fn setup(cfg: ProtocolConfig) -> NetworkHandle {
         let params = SetupParams {
             n: 120,
             density: 10.0,
             seed: 17,
-            cfg: ProtocolConfig::default(),
+            cfg,
         };
-        let out = run_setup(&params);
+        run_setup(&params).handle
+    }
+
+    #[test]
+    fn no_cached_sealer_opens_km_frames_after_erasure() {
+        let h = setup(ProtocolConfig::default());
         // Scenarios provision from stream 1 of the master seed.
-        let km = Provisioner::new(wsn_sim::rng::derive_seed(params.seed, 1)).km();
-        let (nonce, hello) = seal_setup(&km, 3, 0, 3, &Key128::from_bytes([7; 16]));
-        let h = &out.handle;
+        let km = Provisioner::new(wsn_sim::rng::derive_seed(17, 1)).km();
         for id in h.sensor_ids() {
             let n = h.sensor(id);
             assert!(!n.holds_km());
             assert!(
-                n.sealers
-                    .sealers()
-                    .all(|ae| open_setup_with(ae, nonce, &hello).is_err()),
+                !opens_under(n, &km),
                 "node {id} still opens Km-sealed HELLOs after erasure"
             );
-            assert_eq!(n.sealers.len(), 0, "node {id} caches a sealer");
+            assert!(built_sealers(n).is_empty(), "node {id} holds a sealer");
         }
+    }
+
+    /// Runs `retire` on a network whose nodes have built sealers for their
+    /// cluster keys by forwarding readings, then checks that no node can
+    /// open under a key it held before and holds no longer.
+    fn check_retired_keys_leave_no_sealer(
+        cfg: ProtocolConfig,
+        retire: impl FnOnce(&mut NetworkHandle),
+    ) {
+        let mut h = setup(cfg);
+        h.establish_gradient();
+        let sensors = h.sensor_ids();
+        for &src in sensors.iter().step_by(5) {
+            h.send_reading(src, src.to_be_bytes().to_vec(), true);
+        }
+        let before: Vec<Vec<Key128>> = sensors
+            .iter()
+            .map(|&id| cluster_keys(h.sensor(id)))
+            .collect();
+        retire(&mut h);
+        let mut retired_sealers = 0;
+        for (&id, old_keys) in sensors.iter().zip(&before) {
+            let n = h.sensor(id);
+            let held = cluster_keys(n);
+            for key in old_keys.iter().filter(|k| !held.contains(k)) {
+                retired_sealers += 1;
+                assert!(
+                    !opens_under(n, key),
+                    "node {id} still opens frames under a key it no longer holds"
+                );
+            }
+        }
+        assert!(retired_sealers > 0, "nothing was retired");
+    }
+
+    #[test]
+    fn no_sealer_outlives_a_hash_refresh() {
+        check_retired_keys_leave_no_sealer(ProtocolConfig::default(), |h| h.refresh());
+    }
+
+    #[test]
+    fn no_sealer_outlives_a_recluster_refresh() {
+        let cfg = ProtocolConfig {
+            refresh_mode: RefreshMode::Recluster,
+            ..ProtocolConfig::default()
+        };
+        check_retired_keys_leave_no_sealer(cfg, |h| h.refresh());
+    }
+
+    #[test]
+    fn no_sealer_outlives_a_revocation() {
+        check_retired_keys_leave_no_sealer(ProtocolConfig::default(), |h| {
+            let victim = h.sensor_ids()[10];
+            h.evict_nodes(&[victim]);
+        });
     }
 
     #[test]

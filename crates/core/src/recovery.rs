@@ -33,11 +33,11 @@
 //! run-to-quiescence simulations still terminate.
 
 use crate::config::RecoveryConfig;
+use crate::keys::KeySlot;
 use crate::routing::Route;
 use bytes::Bytes;
 use rand::Rng;
 use std::collections::BTreeMap;
-use wsn_crypto::Key128;
 use wsn_sim::event::SimTime;
 
 /// What a pending ARQ entry carries — readings and refresh messages get
@@ -89,7 +89,7 @@ pub struct RecoveryState {
     /// Own cluster key of the previous recluster epoch. Kept so ACKs for a
     /// RefreshHello — necessarily sent under the *old* key by members that
     /// have not finished adopting — still verify after the head rolled.
-    pub prev_cluster_key: Option<Key128>,
+    pub(crate) prev_cluster_key: Option<KeySlot>,
     /// Waiting out a localized re-election window after declaring the
     /// head lost.
     pub reelecting: bool,

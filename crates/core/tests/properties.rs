@@ -7,7 +7,7 @@ use wsn_core::config::ProtocolConfig;
 use wsn_core::forward::{e2e_open, e2e_seal, open_setup, seal_setup, unwrap, wrap, CounterWindow};
 use wsn_core::join::{join_tag, verify_join_tag};
 use wsn_core::keys::Provisioner;
-use wsn_core::msg::{DataUnit, Inner, Message, SHORT_TAG};
+use wsn_core::msg::{DataUnit, Inner, InnerRef, Message, SHORT_TAG};
 use wsn_core::refresh::{cluster_key_at_epoch, hash_step};
 use wsn_crypto::Key128;
 
@@ -89,6 +89,45 @@ fn message_strategy() -> impl Strategy<Value = Message> {
         (any::<u32>(), any::<u32>(), any::<[u8; SHORT_TAG]>())
             .prop_map(|(cid, epoch, tag)| Message::JoinResponse { cid, epoch, tag }),
     ]
+}
+
+/// The borrowed view the sensor receive path parses must accept and
+/// reject exactly what `Inner::decode` does, with equal fields and equal
+/// dedup keys on what both accept.
+fn check_view_agrees(bytes: &[u8]) -> Result<(), TestCaseError> {
+    match (InnerRef::decode(bytes), Inner::decode(bytes)) {
+        (Ok(view), Ok(inner)) => {
+            let units = match (&view, &inner) {
+                (InnerRef::Data(v), Inner::Data(u)) => Some((*v, u)),
+                (InnerRef::SinkData { sink: a, unit: v }, Inner::SinkData { sink: b, unit: u }) => {
+                    prop_assert_eq!(a, b);
+                    Some((*v, u))
+                }
+                (InnerRef::Control(c), i) => {
+                    let is_data = matches!(c, Inner::Data(_) | Inner::SinkData { .. });
+                    prop_assert!(!is_data, "a data unit decoded as a control payload");
+                    prop_assert_eq!(c, i);
+                    None
+                }
+                (v, i) => {
+                    return Err(TestCaseError::fail(format!("view {v:?} vs decode {i:?}")));
+                }
+            };
+            if let Some((v, u)) = units {
+                prop_assert_eq!(v.src, u.src);
+                prop_assert_eq!(v.ctr, u.ctr);
+                prop_assert_eq!(v.sealed, u.sealed);
+                prop_assert_eq!(v.body, &u.body[..]);
+                prop_assert_eq!(v.dedup_key(), u.dedup_key());
+                prop_assert_eq!(&v.to_unit(), u);
+            }
+        }
+        (Err(a), Err(b)) => prop_assert_eq!(a, b),
+        (v, i) => {
+            return Err(TestCaseError::fail(format!("view {v:?} vs decode {i:?}")));
+        }
+    }
+    Ok(())
 }
 
 proptest! {
@@ -306,6 +345,38 @@ proptest! {
         let _ = Message::decode(&enc);
         let _ = Message::peek_wrapped(&enc);
         let _ = Inner::decode(&enc);
+    }
+
+    #[test]
+    fn data_view_agrees_with_inner_decode(
+        // The two data tags (`Inner::Data`, `Inner::SinkData`) most of the
+        // time, any tag otherwise.
+        tag in prop_oneof![Just(0x11u8), Just(0x1A), any::<u8>()],
+        ids in any::<[u8; 8]>(),
+        // A valid flags byte half of the time.
+        flags in prop_oneof![0u8..4, any::<u8>()],
+        rest in proptest::collection::vec(any::<u8>(), 0..40),
+        cut in any::<proptest::sample::Index>(),
+    ) {
+        // Shaped like a data unit (the sink id for `SinkData`, the source
+        // id, flags, then arbitrary bytes), cut anywhere: mostly
+        // malformed, often well-formed.
+        let mut bytes = vec![tag];
+        bytes.extend_from_slice(&ids[..if tag == 0x1A { 8 } else { 4 }]);
+        bytes.push(flags);
+        bytes.extend_from_slice(&rest);
+        bytes.truncate(cut.index(bytes.len() + 1));
+        check_view_agrees(&bytes)?;
+    }
+
+    #[test]
+    fn data_view_agrees_on_cut_encodings(
+        inner in inner_strategy(),
+        cut in any::<proptest::sample::Index>(),
+    ) {
+        let enc = inner.encode();
+        check_view_agrees(&enc[..cut.index(enc.len() + 1)])?;
+        check_view_agrees(&enc)?;
     }
 
     #[test]

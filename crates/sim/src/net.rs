@@ -138,9 +138,8 @@ impl<A: App> Simulator<A> {
         let tx_queue = (radio.contention || radio.tx_queue_cap.is_some())
             .then(|| vec![std::collections::VecDeque::new(); n]);
         let apps: Vec<A> = (0..n as NodeId).map(&mut make_app).collect();
-        // Pre-size the heap for the broadcast fan-out one node's actions
-        // enqueue (every neighbor gets a Deliver event), so the steady
-        // state never grows it incrementally.
+        // Pre-size the heap for the start events and the steady state's
+        // pending timers and deliveries, so it never grows incrementally.
         let mut queue = EventQueue::with_capacity(n * 4);
         for id in 0..n as NodeId {
             queue.schedule(start, EventKind::Start(id));
@@ -377,21 +376,25 @@ impl<A: App> Simulator<A> {
         self.now
     }
 
-    /// Processes one event. Returns false when the queue is empty.
+    /// Processes one queued event: a start hook, a timer, or a frame's
+    /// delivery. A hook-free broadcast is one queued event that delivers
+    /// to every neighbour, each delivery counted in
+    /// [`Self::events_processed`]. Returns false when the queue is empty.
     pub fn step(&mut self) -> bool {
         let Some(ev) = self.queue.pop() else {
             return false;
         };
         self.now = ev.at;
-        self.events_processed += 1;
         match ev.kind {
             EventKind::Start(id) => {
+                self.events_processed += 1;
                 if self.is_down(id) {
                     return true;
                 }
                 self.dispatch(id, |app, ctx| app.on_start(ctx));
             }
             EventKind::Timer { node, key, gen } => {
+                self.events_processed += 1;
                 if self.is_down(node) {
                     return true;
                 }
@@ -401,42 +404,48 @@ impl<A: App> Simulator<A> {
                     self.dispatch(node, |app, ctx| app.on_timer(ctx, key));
                 }
             }
-            EventKind::Deliver { from, to, payload } => {
-                // A powered-off receiver hears nothing — not even a drop.
-                if self.is_down(to) {
-                    return true;
+            EventKind::Deliver { from, to, payload } => self.deliver(from, to, &payload),
+            EventKind::Broadcast { from, payload } => {
+                for i in 0..self.topo.degree(from) {
+                    let to = self.topo.neighbors(from)[i];
+                    self.deliver(from, to, &payload);
                 }
-                // Frames crossing a partition cut never arrive.
-                if self.partition_cuts(from, to) {
-                    self.trace_with(to, || TraceEvent::RadioDrop {
-                        from,
-                        bytes: payload.len() as u32,
-                    });
-                    return true;
-                }
-                // Per-receiver channel loss, decided by the link process.
-                if self
-                    .link
-                    .should_drop(from, to, payload.len(), self.now, &mut self.rng)
-                {
-                    self.trace_with(to, || TraceEvent::RadioDrop {
-                        from,
-                        bytes: payload.len() as u32,
-                    });
-                    return true;
-                }
-                let idx = to as usize;
-                self.counters.rx_msgs[idx] += 1;
-                self.counters.rx_bytes[idx] += payload.len() as u64;
-                self.counters.energy[idx].record_rx(payload.len(), &self.radio);
-                self.trace_with(to, || TraceEvent::Rx {
-                    from,
-                    payload: payload.clone(),
-                });
-                self.dispatch(to, |app, ctx| app.on_message(ctx, from, &payload));
             }
         }
         true
+    }
+
+    /// One frame reaching one receiver, counted as one event: the power,
+    /// partition and channel-loss checks, then the receive counters, the
+    /// trace record and the app's `on_message`.
+    fn deliver(&mut self, from: NodeId, to: NodeId, payload: &Bytes) {
+        self.events_processed += 1;
+        // A powered-off receiver hears nothing — not even a drop.
+        if self.is_down(to) {
+            return;
+        }
+        // Frames crossing a partition cut never arrive; per-receiver
+        // channel loss is decided by the link process.
+        if self.partition_cuts(from, to)
+            || self
+                .link
+                .should_drop(from, to, payload.len(), self.now, &mut self.rng)
+        {
+            self.trace_with(to, || TraceEvent::RadioDrop {
+                from,
+                bytes: payload.len() as u32,
+            });
+            return;
+        }
+        let idx = to as usize;
+        self.counters.rx_msgs[idx] += 1;
+        self.counters.rx_bytes[idx] += payload.len() as u64;
+        self.counters.energy[idx].record_rx(payload.len(), &self.radio);
+        self.trace_with(to, || TraceEvent::Rx {
+            from,
+            payload: payload.clone(),
+        });
+        self.dispatch(to, |app, ctx| app.on_message(ctx, from, payload));
     }
 
     fn dispatch(&mut self, id: NodeId, f: impl FnOnce(&mut A, &mut Ctx)) {
@@ -539,15 +548,11 @@ impl<A: App> Simulator<A> {
                     });
                 }
                 if self.delivery.is_none() {
-                    for &to in self.topo.neighbors(id) {
-                        self.queue.schedule(
-                            at,
-                            EventKind::Deliver {
-                                from: id,
-                                to,
-                                payload: payload.clone(),
-                            },
-                        );
+                    // No entry for an isolated sender: popping it would
+                    // move the clock with no delivery.
+                    if self.topo.degree(id) > 0 {
+                        self.queue
+                            .schedule(at, EventKind::Broadcast { from: id, payload });
                     }
                 } else {
                     for i in 0..self.topo.degree(id) {
@@ -763,7 +768,9 @@ impl<A: App> Simulator<A> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::link::ScheduledCopy;
     use crate::topology::TopologyConfig;
+    use wsn_trace::MemorySink;
 
     /// Counts receptions; node 0 broadcasts once at start.
     struct Echo {
@@ -1036,6 +1043,88 @@ mod tests {
         // fresh dispatch later would start immediately (covered by the
         // pop-expired path in tx_admit).
         assert_eq!(sim.counters().total_tx_drops(), 0);
+    }
+
+    /// Relays the first frame it hears once, from a zero-delay timer armed
+    /// inside `on_message`, and draws from the simulation RNG on every
+    /// reception, so the order of deliveries and draws is part of its
+    /// state.
+    struct Gossip {
+        heard: Heard,
+        relayed: bool,
+    }
+
+    /// `(time, sender, payload length, RNG draw)` per reception.
+    type Heard = Vec<(SimTime, NodeId, usize, u64)>;
+
+    impl App for Gossip {
+        fn on_start(&mut self, ctx: &mut Ctx) {
+            if ctx.id() == 0 {
+                ctx.broadcast(vec![0u8]);
+            }
+        }
+        fn on_message(&mut self, ctx: &mut Ctx, from: NodeId, payload: &[u8]) {
+            use rand::Rng;
+            let draw = ctx.rng().gen::<u64>();
+            self.heard.push((ctx.now(), from, payload.len(), draw));
+            if !self.relayed {
+                self.relayed = true;
+                ctx.set_timer(1, 0);
+            }
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx, _key: TimerKey) {
+            ctx.broadcast(vec![1u8; 3]);
+        }
+    }
+
+    /// Schedules every delivery unperturbed, one event per receiver.
+    struct PassThrough;
+
+    impl DeliveryHook for PassThrough {
+        fn decide(&mut self, _: NodeId, _: NodeId, _: usize, _: SimTime) -> Vec<ScheduledCopy> {
+            vec![ScheduledCopy::clean()]
+        }
+    }
+
+    /// A lossy flood with one receiver down and a partition in force.
+    fn gossip(hooked: bool) -> (Vec<TraceRecord>, String, u64, Vec<Heard>) {
+        let topo = small_topo(9);
+        let n = topo.n();
+        let down = topo.neighbors(0)[0];
+        let radio = RadioConfig::default().with_loss(0.2);
+        let mut sim = Simulator::with_config(topo, radio, 5, |_| Gossip {
+            heard: vec![],
+            relayed: false,
+        });
+        if hooked {
+            sim.set_delivery_hook(PassThrough);
+        }
+        sim.install_trace(MemorySink::new());
+        sim.set_node_down(down);
+        sim.set_partition((0..n).map(|i| u8::from(i % 3 == 0)).collect());
+        sim.run();
+        let trace = sim.take_trace().expect("trace installed").drain();
+        let counters = format!("{:?}", sim.counters());
+        let events = sim.events_processed();
+        let heard = sim.apps().iter().map(|a| a.heard.clone()).collect();
+        (trace, counters, events, heard)
+    }
+
+    #[test]
+    fn fanout_matches_per_receiver_delivery() {
+        let fanout = gossip(false);
+        let drops = |t: &[TraceRecord]| {
+            t.iter()
+                .filter(|r| matches!(r.event, TraceEvent::RadioDrop { .. }))
+                .count()
+        };
+        // The scenario exercises what it is meant to: losses and cuts, a
+        // flood that travels, and a powered-off neighbour of the origin.
+        assert!(drops(&fanout.0) > 10, "too few drops: {}", drops(&fanout.0));
+        assert!(fanout.3.iter().filter(|h| !h.is_empty()).count() > 10);
+        let down = small_topo(9).neighbors(0)[0];
+        assert!(fanout.3[down as usize].is_empty());
+        assert_eq!(fanout, gossip(true));
     }
 
     #[test]

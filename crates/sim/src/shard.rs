@@ -259,6 +259,11 @@ impl<A: App> Shard<A> {
                     });
                     self.dispatch(to, env, out, |app, ctx| app.on_message(ctx, from, &payload));
                 }
+                // A broadcast's receivers can sit in other regions, so this
+                // engine schedules one `Deliver` per receiver instead.
+                EventKind::Broadcast { .. } => {
+                    unreachable!("the sharded engine never queues a fan-out entry")
+                }
             }
         }
     }
