@@ -39,6 +39,7 @@ use wsn_crypto::ctr::message_nonce;
 use wsn_crypto::prf::PrfKey;
 use wsn_crypto::{Key128, KEY_BYTES};
 use wsn_sim::event::SimTime;
+use wsn_sim::node::RxShare;
 
 /// Derives the encrypt/MAC key pair from a base key, per the paper's
 /// `Kencr = F(K, 0)`, `Kmac = F(K, 1)`.
@@ -318,8 +319,9 @@ pub fn unwrap_in(
     cfg: &ProtocolConfig,
     scratch: &mut Vec<u8>,
 ) -> Result<Unwrapped, ProtocolError> {
-    let window = cfg.freshness_window;
-    let (tau, sender_hops, inner) = open_header_in(ae, cid, nonce, sealed, now, window, scratch)?;
+    scratch.clear();
+    decrypt_into(ae, nonce, sealed, scratch)?;
+    let (tau, sender_hops, inner) = parse_header(scratch, cid, now, cfg.freshness_window)?;
     Ok(Unwrapped {
         inner: Inner::decode(inner)?,
         tau,
@@ -328,7 +330,7 @@ pub fn unwrap_in(
 }
 
 /// What [`open_in`] yields: the inner payload, its data unit (if any)
-/// borrowed from the scratch buffer, and the sender's hop distance.
+/// borrowed from the receive share, and the sender's hop distance.
 #[derive(Clone, Debug, PartialEq)]
 pub(crate) struct Opened<'a> {
     /// The inner payload.
@@ -337,47 +339,50 @@ pub(crate) struct Opened<'a> {
     pub sender_hops: u32,
 }
 
-/// [`unwrap_in`] parsing the inner payload in place, with
-/// `freshness_window` from [`ProtocolConfig::freshness_window`]: the
-/// same checks in the same order. Every receiver in range runs this per
-/// overheard frame, so the sensor receive path reuses one buffer per
-/// node and copies no data body.
-pub(crate) fn open_in<'s>(
-    ae: &AuthEnc,
+/// [`unwrap_in`] for a sensor holding `key`, parsing the inner payload in
+/// place, with `freshness_window` from
+/// [`ProtocolConfig::freshness_window`]: the same checks in the same
+/// order. Every receiver in range runs this per overheard frame, so the
+/// MAC check and decryption go through the delivery's receive share.
+/// The share hands back a plaintext only if it was opened from exactly
+/// these key bytes, nonce and sealed bytes (tag included); otherwise the
+/// frame is opened here under `sealer()`, which builds the key's sealer
+/// only when it is needed. The CID echo and freshness are checked
+/// against this receiver's `cid` and `now` either way.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn open_in<'s, 'k>(
+    key: &Key128,
+    sealer: impl FnOnce() -> &'k AuthEnc,
     cid: ClusterId,
     nonce: u64,
     sealed: &[u8],
     now: SimTime,
     freshness_window: SimTime,
-    scratch: &'s mut Vec<u8>,
+    share: &'s mut RxShare,
 ) -> Result<Opened<'s>, ProtocolError> {
-    let (_, sender_hops, inner) =
-        open_header_in(ae, cid, nonce, sealed, now, freshness_window, scratch)?;
+    let input: [&[u8]; 3] = [key.as_bytes(), &nonce.to_le_bytes(), sealed];
+    let pt = share.open(&input, |buf| decrypt_into(sealer(), nonce, sealed, buf))?;
+    let (_, sender_hops, inner) = parse_header(pt, cid, now, freshness_window)?;
     Ok(Opened {
         inner: InnerRef::decode(inner)?,
         sender_hops,
     })
 }
 
-/// Decrypts a Step-2 frame into `scratch` and checks its header. Returns
-/// `τ`, the sender's hop distance and the inner payload bytes.
-fn open_header_in<'s>(
+/// Verifies a Step-2 frame's tag and decrypts its body into the empty
+/// `buf` (left holding ciphertext if the tag fails).
+fn decrypt_into(
     ae: &AuthEnc,
-    cid: ClusterId,
     nonce: u64,
     sealed: &[u8],
-    now: SimTime,
-    freshness_window: SimTime,
-    scratch: &'s mut Vec<u8>,
-) -> Result<(SimTime, u32, &'s [u8]), ProtocolError> {
+    buf: &mut Vec<u8>,
+) -> Result<(), wsn_crypto::CryptoError> {
     let split = sealed
         .len()
         .checked_sub(ae.overhead())
-        .ok_or(ProtocolError::Crypto(wsn_crypto::CryptoError::Truncated))?;
-    scratch.clear();
-    scratch.extend_from_slice(&sealed[..split]);
-    ae.open_in_place_detached(nonce, scratch, &sealed[split..])?;
-    parse_header(scratch, cid, now, freshness_window)
+        .ok_or(wsn_crypto::CryptoError::Truncated)?;
+    buf.extend_from_slice(&sealed[..split]);
+    ae.open_in_place_detached(nonce, buf, &sealed[split..])
 }
 
 /// Checks a decrypted Step-2 header — the CID echo, then freshness — and

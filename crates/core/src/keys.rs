@@ -88,11 +88,11 @@ impl KeySlot {
         &self.built().sealer
     }
 
-    /// The sealer for the key `k ≥ 1` refresh epochs ahead, `F^k(K)`: the
+    /// The key `k ≥ 1` refresh epochs ahead, `F^k(K)`, and its sealer: the
     /// candidates a node that slept through epochs tries. They are built
     /// on first use and kept with this key, so every later frame that
     /// fails under it costs no key expansion.
-    pub(crate) fn sealer_ahead(&mut self, k: usize) -> &AuthEnc {
+    pub(crate) fn sealer_ahead(&mut self, k: usize) -> &(Key128, AuthEnc) {
         assert!(k >= 1, "epoch 0 is the slot's own key");
         let built = self.built();
         while built.ahead.len() < k {
@@ -100,7 +100,7 @@ impl KeySlot {
             let next = crate::refresh::hash_step(&last);
             built.ahead.push((next, sealer(&next)));
         }
-        &built.ahead[k - 1].1
+        &built.ahead[k - 1]
     }
 
     fn built(&mut self) -> &mut Built {

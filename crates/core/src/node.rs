@@ -38,7 +38,7 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 use wsn_crypto::Key128;
 use wsn_sim::event::{SimTime, MILLI, SECOND};
-use wsn_sim::node::{App, Ctx, NodeId, TimerKey};
+use wsn_sim::node::{App, Ctx, NodeId, RxShare, TimerKey};
 use wsn_sim::rng::exp_delay;
 use wsn_trace::{QueueKind, TraceEvent};
 
@@ -247,9 +247,6 @@ pub struct ProtocolNode {
     muted: bool,
     /// Join-responses collected while `role == Joining`, in arrival order.
     join_responses: Vec<(ClusterId, Key128)>,
-    /// Reusable decrypt buffer for the receive path (one per node, not one
-    /// allocation per overheard frame).
-    rx_scratch: Vec<u8>,
     /// Resource-budget state (admission gates, busy window, drop counters).
     /// Buffer high-water marks are recorded here unconditionally; the
     /// enforcement machinery is inert unless `cfg.resources.enabled`.
@@ -283,7 +280,6 @@ impl ProtocolNode {
             muted: false,
             pending: VecDeque::new(),
             join_responses: Vec::new(),
-            rx_scratch: Vec::new(),
             resource: ResourceState::default(),
             stats: NodeStats::default(),
         }
@@ -788,14 +784,21 @@ impl ProtocolNode {
                 Admission::Quarantined => return,
             }
         }
-        let mut scratch = std::mem::take(&mut self.rx_scratch);
-        self.open_wrapped(ctx, from, cid, nonce, sealed, &mut scratch);
-        self.rx_scratch = scratch;
+        // The share is moved out for the open and dispatch (the inner
+        // payload borrows it while `ctx` is in use) and lent back after;
+        // a backend that lends none gets one for this frame alone, zeroed
+        // before it is dropped.
+        let mut share = ctx.rx_share().map(std::mem::take).unwrap_or_default();
+        self.open_wrapped(ctx, from, cid, nonce, sealed, &mut share);
+        match ctx.rx_share() {
+            Some(lent) => *lent = share,
+            None => share.clear(),
+        }
     }
 
-    /// Opens a Step-2 frame into `scratch` under the key held for `cid`
+    /// Opens a Step-2 frame through `share` under the key held for `cid`
     /// and dispatches its inner payload, which stays borrowed from
-    /// `scratch`.
+    /// `share`.
     fn open_wrapped(
         &mut self,
         ctx: &mut impl Transport,
@@ -803,7 +806,7 @@ impl ProtocolNode {
         cid: ClusterId,
         nonce: u64,
         sealed: &[u8],
-        scratch: &mut Vec<u8>,
+        share: &mut RxShare,
     ) {
         let res_on = self.cfg.resources.enabled;
         let (now, window) = (ctx.now(), self.cfg.freshness_window);
@@ -811,7 +814,17 @@ impl ProtocolNode {
             self.stats.drops.unknown_cluster += 1;
             return;
         };
-        let opened = match open_in(slot.sealer(), cid, nonce, sealed, now, window, scratch) {
+        let key = slot.key();
+        let opened = match open_in(
+            &key,
+            || slot.sealer(),
+            cid,
+            nonce,
+            sealed,
+            now,
+            window,
+            share,
+        ) {
             Ok(opened) => opened,
             Err(ProtocolError::Stale) => {
                 // Authentication succeeded — freshness is checked after
@@ -824,8 +837,8 @@ impl ProtocolNode {
             }
             Err(ProtocolError::Crypto(_)) => {
                 if self.cfg.recovery.enabled {
-                    if self.try_prev_key_ack(ctx, cid, nonce, sealed, scratch)
-                        || self.try_epoch_catchup(ctx, cid, nonce, sealed, scratch)
+                    if self.try_prev_key_ack(ctx, cid, nonce, sealed, share)
+                        || self.try_epoch_catchup(ctx, cid, nonce, sealed, share)
                     {
                         // Salvaged: the frame verified under a retired or
                         // ratcheted key. A valid MAC by any route resets
@@ -1668,7 +1681,7 @@ impl ProtocolNode {
         cid: ClusterId,
         nonce: u64,
         sealed: &[u8],
-        scratch: &mut Vec<u8>,
+        share: &mut RxShare,
     ) -> bool {
         if self.cid != Some(cid) {
             return false;
@@ -1678,7 +1691,9 @@ impl ProtocolNode {
         let Some(pk) = prev.and_then(|x| x.recovery.prev_cluster_key.as_mut()) else {
             return false;
         };
-        match open_in(pk.sealer(), cid, nonce, sealed, now, window, scratch).map(|o| o.inner) {
+        let key = pk.key();
+        match open_in(&key, || pk.sealer(), cid, nonce, sealed, now, window, share).map(|o| o.inner)
+        {
             Ok(InnerRef::Control(Inner::Ack { key })) => self.handle_ack(ctx, key, false, None),
             // A congested member confirming a refresh under the retired
             // key: custody clears and the busy signal still counts.
@@ -1698,7 +1713,7 @@ impl ProtocolNode {
         cid: ClusterId,
         nonce: u64,
         sealed: &[u8],
-        scratch: &mut Vec<u8>,
+        share: &mut RxShare,
     ) -> bool {
         let rec = self.cfg.recovery;
         if self.cfg.refresh_mode != RefreshMode::Hash || rec.max_catchup_epochs == 0 {
@@ -1709,8 +1724,8 @@ impl ProtocolNode {
             let Some(slot) = self.cluster_slot(cid) else {
                 return false;
             };
-            let ae = slot.sealer_ahead(k as usize);
-            match open_in(ae, cid, nonce, sealed, now, window, scratch) {
+            let (key, ae) = slot.sealer_ahead(k as usize);
+            match open_in(key, || ae, cid, nonce, sealed, now, window, share) {
                 Ok(opened) => {
                     self.catch_up(ctx, k);
                     self.dispatch_inner(ctx, cid, opened.inner, opened.sender_hops);
@@ -1991,7 +2006,7 @@ impl App for ProtocolApp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::forward::seal_setup;
+    use crate::forward::{seal_setup, sealer};
     use crate::keys::Provisioner;
     use crate::setup::{run_setup, NetworkHandle, SetupParams};
     use wsn_crypto::authenc::AuthEnc;
@@ -2127,8 +2142,8 @@ mod tests {
     fn sensor_slot_stays_small() {
         // A deployment holds one of these per node, a million of them in
         // the million-node run: inline growth costs memory at that scale.
-        assert!(std::mem::size_of::<ProtocolNode>() <= 560);
-        assert!(std::mem::size_of::<ProtocolApp>() <= 560);
+        assert!(std::mem::size_of::<ProtocolNode>() <= 528);
+        assert!(std::mem::size_of::<ProtocolApp>() <= 528);
     }
 
     /// Every sealer the node has built, in whichever key slot holds it.
@@ -2244,6 +2259,103 @@ mod tests {
             let victim = h.sensor_ids()[10];
             h.evict_nodes(&[victim]);
         });
+    }
+
+    /// Lends one receive share to every frame it delivers, as the
+    /// simulator does for the receivers of one broadcast; records what
+    /// the node transmits.
+    struct Lender {
+        rng: rand::rngs::StdRng,
+        share: RxShare,
+        sent: usize,
+    }
+
+    impl Transport for Lender {
+        fn id(&self) -> NodeId {
+            0
+        }
+        fn now(&self) -> SimTime {
+            0
+        }
+        fn rng(&mut self) -> &mut rand::rngs::StdRng {
+            &mut self.rng
+        }
+        fn broadcast(&mut self, _payload: Bytes) {
+            self.sent += 1;
+        }
+        fn send(&mut self, _to: NodeId, _payload: Bytes) {
+            self.sent += 1;
+        }
+        fn set_timer(&mut self, _key: TimerKey, _delay: SimTime) {}
+        fn cancel_timer(&mut self, _key: TimerKey) {}
+        fn rx_share(&mut self) -> Option<&mut RxShare> {
+            Some(&mut self.share)
+        }
+    }
+
+    /// A member of its own cluster `100 + id` that holds `key` for the
+    /// neighbouring cluster 5.
+    fn holder(id: u32, key: Key128) -> ProtocolNode {
+        let mut n = node(id);
+        n.role = Role::Member;
+        n.cid = Some(100 + id);
+        n.cluster_key = Some(KeySlot::new(n.keys.kci));
+        n.neighbor_keys.insert(5, KeySlot::new(key));
+        n
+    }
+
+    /// Delivers `frame` to a fresh [`holder`] of `key` through `t`'s
+    /// share; returns the node, whether it took the beacon, and whether
+    /// it built a sealer for its key of cluster 5.
+    fn deliver(t: &mut Lender, id: u32, key: Key128, frame: &[u8]) -> (ProtocolNode, bool, bool) {
+        let mut n = holder(id, key);
+        n.dispatch_message(t, 9, frame);
+        let took = n.hops_to(0) == 4;
+        let built = n.neighbor_keys.get_mut(5).unwrap().built_sealers().count() > 0;
+        (n, took, built)
+    }
+
+    #[test]
+    fn a_shared_open_serves_only_the_same_key_and_frame() {
+        let old = Key128::from_bytes([0x51; 16]);
+        let current = refresh::hash_step(&old);
+        let replaced = Key128::from_bytes([0x52; 16]);
+        let frame = wrap_frame(&sealer(&current), 5, 9, 0, 0, 3, &Inner::Beacon);
+        let mut forged = frame.to_vec();
+        *forged.last_mut().unwrap() ^= 1;
+        let mut t = Lender {
+            rng: rand::SeedableRng::seed_from_u64(1),
+            share: RxShare::default(),
+            sent: 0,
+        };
+        let stats = |t: &Lender| (t.share.stats().computed, t.share.stats().reused);
+
+        // The first holder of the key opens; the next reuses its open and
+        // never builds a sealer for the key.
+        let (_, took, built) = deliver(&mut t, 1, current, &frame);
+        assert!(took && built);
+        let (_, took, built) = deliver(&mut t, 2, current, &frame);
+        assert!(took && !built, "a reused open needs no sealer");
+        assert_eq!(stats(&t), (1, 1));
+
+        // A receiver whose key for the CID is one epoch behind, or was
+        // revoked and replaced, opens on its own and rejects the frame.
+        for (id, key) in [(3, old), (4, replaced)] {
+            let (n, took, _) = deliver(&mut t, id, key, &frame);
+            assert!(!took, "node {id} took a frame it cannot verify");
+            assert_eq!(n.stats.drops.bad_auth, 1);
+        }
+        assert_eq!(stats(&t), (3, 1));
+
+        // A frame that differs from the opened one only in its tag is
+        // opened on its own, and rejected.
+        assert!(deliver(&mut t, 5, current, &frame).1);
+        let (n, took, _) = deliver(&mut t, 6, current, &forged);
+        assert!(!took, "a forged tag rode on a shared open");
+        assert_eq!(n.stats.drops.bad_auth, 1);
+        assert_eq!(stats(&t), (5, 1));
+        assert!(t.share.is_empty(), "a failed open leaves the share empty");
+        assert_eq!(t.sent, 3, "each node that took the beacon relays it");
     }
 
     #[test]

@@ -20,7 +20,7 @@
 use bytes::Bytes;
 use rand::rngs::StdRng;
 use wsn_sim::event::SimTime;
-use wsn_sim::node::{Ctx, NodeId, TimerKey};
+use wsn_sim::node::{Ctx, NodeId, RxShare, TimerKey};
 use wsn_trace::TraceEvent;
 
 /// The environment a protocol state machine runs against.
@@ -72,6 +72,13 @@ pub trait Transport {
     fn trace(&mut self, event: TraceEvent) {
         let _ = event;
     }
+
+    /// The receive share the backend lends the frame being delivered
+    /// (see [`RxShare`]), or `None` when it lends none and each frame is
+    /// opened on its own.
+    fn rx_share(&mut self) -> Option<&mut RxShare> {
+        None
+    }
 }
 
 /// The simulator's per-invocation context is the canonical transport:
@@ -112,6 +119,10 @@ impl Transport for Ctx<'_> {
 
     fn trace(&mut self, event: TraceEvent) {
         Ctx::trace(self, event);
+    }
+
+    fn rx_share(&mut self) -> Option<&mut RxShare> {
+        Ctx::rx_share(self)
     }
 }
 

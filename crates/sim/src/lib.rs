@@ -70,7 +70,7 @@ pub mod prelude {
     pub use crate::event::SimTime;
     pub use crate::link::{IidLoss, LinkProcess};
     pub use crate::net::{Counters, Simulator};
-    pub use crate::node::{App, Ctx, NodeId, TimerKey};
+    pub use crate::node::{App, Ctx, NodeId, RxShare, TimerKey};
     pub use crate::radio::RadioConfig;
     pub use crate::shard::{ShardedSimulator, Shards};
     pub use crate::topology::{Topology, TopologyConfig};

@@ -4,7 +4,7 @@
 use crate::energy::EnergyMeter;
 use crate::event::{EventKind, EventQueue, SimTime};
 use crate::link::{DeliveryHook, IidLoss, LinkProcess};
-use crate::node::{Action, App, Ctx, NodeId, TimerKey};
+use crate::node::{Action, App, Ctx, NodeId, RxShare, TimerKey};
 use crate::radio::RadioConfig;
 use crate::topology::Topology;
 use bytes::Bytes;
@@ -75,6 +75,9 @@ pub struct Simulator<A: App> {
     timers: HashMap<(NodeId, TimerKey), u64>,
     timer_gen: u64,
     scratch_actions: Vec<Action>,
+    /// The receive share lent to every receiver of one delivery event
+    /// (see [`Ctx::rx_share`]); empty between events.
+    share: RxShare,
     events_processed: u64,
     /// Optional trace sink. `None` costs one branch per potential event;
     /// trace payloads are reference-counted so recording is cheap too.
@@ -155,6 +158,7 @@ impl<A: App> Simulator<A> {
             timers: HashMap::new(),
             timer_gen: 0,
             scratch_actions: Vec::with_capacity(8),
+            share: RxShare::default(),
             events_processed: 0,
             sink: None,
             trace_seq: 0,
@@ -201,6 +205,7 @@ impl<A: App> Simulator<A> {
             timers: HashMap::new(),
             timer_gen: 0,
             scratch_actions: Vec::with_capacity(8),
+            share: RxShare::default(),
             events_processed,
             sink: None,
             trace_seq: 0,
@@ -311,6 +316,12 @@ impl<A: App> Simulator<A> {
         self.events_processed
     }
 
+    /// The receive share: empty whenever no event is being processed,
+    /// with the reuse counts of every delivery so far.
+    pub fn rx_share(&self) -> &RxShare {
+        &self.share
+    }
+
     /// Injects a frame delivered to every node within radio range of
     /// node position `origin`, `delay` µs from now, appearing to come from
     /// `claimed_from`. This is the adversary's entry point (HELLO floods,
@@ -379,7 +390,9 @@ impl<A: App> Simulator<A> {
     /// Processes one queued event: a start hook, a timer, or a frame's
     /// delivery. A hook-free broadcast is one queued event that delivers
     /// to every neighbour, each delivery counted in
-    /// [`Self::events_processed`]. Returns false when the queue is empty.
+    /// [`Self::events_processed`], and lends all of them one receive
+    /// share ([`Ctx::rx_share`]). The share is zeroed before this returns.
+    /// Returns false when the queue is empty.
     pub fn step(&mut self) -> bool {
         let Some(ev) = self.queue.pop() else {
             return false;
@@ -404,12 +417,16 @@ impl<A: App> Simulator<A> {
                     self.dispatch(node, |app, ctx| app.on_timer(ctx, key));
                 }
             }
-            EventKind::Deliver { from, to, payload } => self.deliver(from, to, &payload),
+            EventKind::Deliver { from, to, payload } => {
+                self.deliver(from, to, &payload);
+                self.share.clear();
+            }
             EventKind::Broadcast { from, payload } => {
                 for i in 0..self.topo.degree(from) {
                     let to = self.topo.neighbors(from)[i];
                     self.deliver(from, to, &payload);
                 }
+                self.share.clear();
             }
         }
         true
@@ -458,6 +475,7 @@ impl<A: App> Simulator<A> {
                 actions: &mut actions,
                 sink: self.sink.as_deref_mut(),
                 trace_seq: &mut self.trace_seq,
+                share: Some(&mut self.share),
             };
             f(&mut self.apps[id as usize], &mut ctx);
         }
@@ -1125,6 +1143,82 @@ mod tests {
         let down = small_topo(9).neighbors(0)[0];
         assert!(fanout.3[down as usize].is_empty());
         assert_eq!(fanout, gossip(true));
+    }
+
+    /// Opens every frame it hears through the receive share, with the
+    /// payload as the input and its reverse as the output.
+    #[derive(Default)]
+    struct Opener {
+        outputs: Vec<Vec<u8>>,
+    }
+
+    impl App for Opener {
+        fn on_start(&mut self, ctx: &mut Ctx) {
+            if ctx.id() == 0 {
+                ctx.broadcast(vec![1, 2, 3]);
+            }
+        }
+        fn on_message(&mut self, ctx: &mut Ctx, _from: NodeId, payload: &[u8]) {
+            let share = ctx
+                .rx_share()
+                .expect("the single-heap simulator lends a share");
+            let out = share.open(&[payload], |buf| {
+                buf.extend(payload.iter().rev());
+                Ok::<(), ()>(())
+            });
+            self.outputs.push(out.expect("infallible").to_vec());
+        }
+    }
+
+    #[test]
+    fn fanout_lends_one_share_and_zeroes_it() {
+        for hooked in [false, true] {
+            let topo = small_topo(1);
+            let deg0 = topo.degree(0) as u64;
+            let mut sim = Simulator::new(topo, |_| Opener::default());
+            if hooked {
+                sim.set_delivery_hook(PassThrough);
+            }
+            while sim.step() {
+                assert!(sim.rx_share().is_empty(), "share outlived its event");
+            }
+            let heard = sim.apps().iter().flat_map(|a| &a.outputs);
+            assert!(heard.clone().count() as u64 == deg0 && deg0 > 1);
+            assert!(heard.into_iter().all(|out| out == &[3, 2, 1]));
+            let stats = sim.rx_share().stats();
+            let expect = if hooked { (deg0, 0) } else { (1, deg0 - 1) };
+            assert_eq!((stats.computed, stats.reused), expect, "hooked: {hooked}");
+        }
+    }
+
+    #[test]
+    fn a_share_answers_only_its_exact_input() {
+        let mut share = RxShare::default();
+        // The output is the number of input parts, so a reused output
+        // shows which call computed it.
+        let mut open = |parts: &[&[u8]]| {
+            let out = share.open(parts, |buf| {
+                buf.push(parts.len() as u8);
+                Ok::<(), ()>(())
+            });
+            out.map(<[u8]>::to_vec)
+        };
+        assert_eq!(open(&[b"ab", b"c"]), Ok(vec![2]));
+        assert_eq!(open(&[b"ab", b"c"]), Ok(vec![2]));
+        // The same bytes split differently are the same input.
+        assert_eq!(open(&[b"a", b"b", b"c"]), Ok(vec![2]));
+        assert_eq!(open(&[b"ab", b"d"]), Ok(vec![2]));
+        assert_eq!(open(&[b"ab", b"dd"]), Ok(vec![2]));
+        assert_eq!(open(&[b"ab"]), Ok(vec![1]));
+        let stats = share.stats();
+        assert_eq!((stats.computed, stats.reused), (4, 2));
+        // A failed computation leaves nothing behind.
+        let failed = share.open(&[b"x"], |buf| {
+            buf.push(9);
+            Err(())
+        });
+        assert_eq!(failed, Err(()));
+        assert!(share.is_empty());
     }
 
     #[test]

@@ -36,6 +36,7 @@ pub struct Ctx<'a> {
     pub(crate) actions: &'a mut Vec<Action>,
     pub(crate) sink: Option<&'a mut (dyn TraceSink + 'static)>,
     pub(crate) trace_seq: &'a mut u64,
+    pub(crate) share: Option<&'a mut RxShare>,
 }
 
 impl<'a> Ctx<'a> {
@@ -80,6 +81,17 @@ impl<'a> Ctx<'a> {
         self.actions.push(Action::CancelTimer(key));
     }
 
+    /// The receive share of the frame being delivered: during one
+    /// hook-free broadcast every receiver is lent the same share, so a
+    /// computation one receiver recorded for the frame can serve the
+    /// next. On the single-heap simulator a per-receiver delivery, and
+    /// every other hook, starts with an empty share, which is zeroed when
+    /// the event ends. The sharded engine never fans a frame out, so it
+    /// lends none (`None`).
+    pub fn rx_share(&mut self) -> Option<&mut RxShare> {
+        self.share.as_deref_mut()
+    }
+
     /// Whether a trace sink is installed. Lets callers skip building
     /// expensive events entirely when tracing is off; [`Ctx::trace`]
     /// already does this for its own argument via laziness at the
@@ -101,6 +113,101 @@ impl<'a> Ctx<'a> {
             *self.trace_seq += 1;
             sink.record(rec);
         }
+    }
+}
+
+/// One computation over a received frame, lent to every receiver of a
+/// broadcast so the receivers that would compute the same thing do it
+/// once.
+///
+/// The share holds an output and the exact input that produced it, as
+/// the concatenation of the caller's input parts. For a Step-2 open the
+/// parts are the key bytes, the nonce and the whole sealed frame, tag
+/// included, and the output is the verified plaintext. [`RxShare::open`]
+/// hands out the recorded output only to a caller whose input is
+/// byte-for-byte the recorded one; any other caller computes its own
+/// output, which replaces the record. A failed computation leaves the
+/// share empty. The share is only ever as wide as one delivery: the
+/// simulator zeroes it when the broadcast (or the per-receiver delivery)
+/// ends, so neither input nor output outlives the frame that produced
+/// it. Whoever else holds a share past its frame zeroes it with
+/// [`RxShare::clear`]; there is no zeroing `Drop`, whose drop glue on
+/// the per-receiver move of the share cost a fifth of `sim-steady`'s
+/// throughput.
+#[derive(Default)]
+pub struct RxShare {
+    input: Vec<u8>,
+    output: Vec<u8>,
+    stats: RxShareStats,
+}
+
+/// How often an [`RxShare`] computed an output and how often it handed a
+/// recorded one out again. Kept across deliveries; holds no frame data.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RxShareStats {
+    /// Outputs computed by the caller's closure, because the share held
+    /// no output or one for another input.
+    pub computed: u64,
+    /// Recorded outputs handed to a caller with the same input.
+    pub reused: u64,
+}
+
+impl RxShare {
+    /// The output recorded for the input `parts` (concatenated), or, if
+    /// the share holds any other input, the output `compute` writes into
+    /// an empty buffer, which the share then records with `parts`. On an
+    /// error the share is left empty and the error returned.
+    pub fn open<E>(
+        &mut self,
+        parts: &[&[u8]],
+        compute: impl FnOnce(&mut Vec<u8>) -> Result<(), E>,
+    ) -> Result<&[u8], E> {
+        if self.holds(parts) {
+            self.stats.reused += 1;
+            return Ok(&self.output);
+        }
+        self.clear();
+        self.stats.computed += 1;
+        if let Err(e) = compute(&mut self.output) {
+            self.clear();
+            return Err(e);
+        }
+        for part in parts {
+            self.input.extend_from_slice(part);
+        }
+        Ok(&self.output)
+    }
+
+    /// Whether the share holds an output computed from exactly `parts`.
+    fn holds(&self, parts: &[&[u8]]) -> bool {
+        if self.input.is_empty() || self.input.len() != parts.iter().map(|p| p.len()).sum() {
+            return false;
+        }
+        let mut rest = &self.input[..];
+        parts.iter().all(|part| {
+            let (head, tail) = rest.split_at(part.len());
+            rest = tail;
+            head == *part
+        })
+    }
+
+    /// Whether the share holds nothing: no input, no output.
+    pub fn is_empty(&self) -> bool {
+        self.input.is_empty() && self.output.is_empty()
+    }
+
+    /// The counts so far.
+    pub fn stats(&self) -> RxShareStats {
+        self.stats
+    }
+
+    /// Overwrites input and output with zeros and empties the share,
+    /// keeping the buffers' capacity for the next frame.
+    pub fn clear(&mut self) {
+        self.input.fill(0);
+        self.input.clear();
+        self.output.fill(0);
+        self.output.clear();
     }
 }
 

@@ -289,6 +289,8 @@ impl<A: App> Shard<A> {
                     .as_mut()
                     .map(|s| s as &mut (dyn TraceSink + 'static)),
                 trace_seq: &mut self.trace_seq[li],
+                // One receiver per delivery: nothing to share.
+                share: None,
             };
             f(&mut self.apps[li], &mut ctx);
         }
