@@ -12,18 +12,20 @@ use crate::config::{CounterMode, ProtocolConfig};
 use crate::error::ProtocolError;
 use crate::evict::build_revoke;
 use crate::forward::{
-    e2e_open_with, seal_setup_with, unwrap_in, wrap_frame, CounterWindow, SealerCache,
+    e2e_open_with, seal_setup_with, sealer, unwrap_in, wrap_frame, CounterWindow,
 };
 use crate::fusion::DedupCache;
+use crate::keys::SubkeySlot;
 use crate::msg::{ClusterId, DataUnit, Inner, Message};
 use crate::node::DropCounts;
 use crate::persist::{BsSnapshot, StateMutation, SEQ_RESERVE_STRIDE};
-use crate::refresh;
 use crate::routing::Route;
+use crate::sink::SinkNodeState;
 use crate::transport::Transport;
 use bytes::Bytes;
 use rand::Rng;
 use std::collections::HashMap;
+use wsn_crypto::authenc::AuthEnc;
 use wsn_crypto::keychain::KeyChain;
 use wsn_crypto::Key128;
 use wsn_sim::event::{SimTime, MILLI};
@@ -54,6 +56,35 @@ pub struct Reading {
     pub ctr: Option<u64>,
 }
 
+/// One provisioned node's entry at the base station.
+struct NodeEntry {
+    /// `Ki`, with its subkeys once the node's first reading needed them.
+    ki: SubkeySlot,
+    /// End-to-end counter state, created at the node's first sealed
+    /// reading (`None` before it, so a snapshot lists only nodes that
+    /// have sent).
+    window: Option<CounterWindow>,
+}
+
+impl NodeEntry {
+    fn new(ki: Key128, window: Option<CounterWindow>) -> Self {
+        NodeEntry {
+            ki: SubkeySlot::new(ki),
+            window,
+        }
+    }
+
+    /// The entry as a handoff carries it: `Ki` and the window, never the
+    /// derived subkeys.
+    fn state(&self, id: u32) -> SinkNodeState {
+        SinkNodeState {
+            id,
+            ki: self.ki.key(),
+            window: self.window.clone().unwrap_or_default(),
+        }
+    }
+}
+
 /// Base-station state.
 pub struct BaseStation {
     cfg: ProtocolConfig,
@@ -61,12 +92,12 @@ pub struct BaseStation {
     id: u32,
     /// Master key (the BS is trusted; it keeps `Km`).
     km: Key128,
-    /// Own singleton-cluster key (`F(KMC, id)`).
-    own_kc: Key128,
-    /// `id -> Ki` registry.
-    registry: HashMap<u32, Key128>,
-    /// Every potential cluster key, rolled forward on refresh.
-    cluster_keys: HashMap<ClusterId, Key128>,
+    /// `id -> (Ki, counter window)` registry.
+    nodes: HashMap<u32, NodeEntry>,
+    /// Every potential cluster key, rolled forward on refresh; revoked
+    /// ones are dropped. Always holds the BS's own singleton-cluster key
+    /// (`F(KMC, id)`) under its id.
+    cluster_keys: HashMap<ClusterId, SubkeySlot>,
     /// Revocation chain (BS side).
     chain: KeyChain,
     /// Next revocation sequence number.
@@ -76,8 +107,6 @@ pub struct BaseStation {
     /// Two-phase revocation: announced commands whose links await
     /// disclosure on TIMER_REVEAL.
     pending_reveals: Vec<(u32, Key128)>,
-    /// Per-source end-to-end counter state.
-    windows: HashMap<u32, CounterWindow>,
     /// Nodes evicted so far (their Step-1 traffic is refused).
     evicted: Vec<u32>,
     /// Per-sender message sequence (nonce uniqueness).
@@ -91,9 +120,6 @@ pub struct BaseStation {
     /// Duplicate suppression: the same unit arriving over several forwarding
     /// paths is processed once.
     dedup: DedupCache,
-    /// Cached cipher schedules — the BS opens traffic under every cluster
-    /// key and every `Ki`, so this cache is the hottest in the network.
-    sealers: SealerCache,
     /// When the BS last answered a RouteRequest (recovery-layer rate
     /// limiting, mirrors the sensors' cooldown).
     last_route_reply: Option<SimTime>,
@@ -126,28 +152,29 @@ impl BaseStation {
         cluster_keys: HashMap<ClusterId, Key128>,
         chain: KeyChain,
     ) -> Self {
-        let own_kc = *cluster_keys
-            .get(&id)
-            .expect("BS id must be in the cluster-key map");
+        assert!(
+            cluster_keys.contains_key(&id),
+            "BS id must be in the cluster-key map"
+        );
         let dedup = DedupCache::new(cfg.dedup_cache);
         BaseStation {
             cfg,
             id,
             km,
-            own_kc,
-            registry,
-            cluster_keys,
+            nodes: registry
+                .into_iter()
+                .map(|(id, ki)| (id, NodeEntry::new(ki, None)))
+                .collect(),
+            cluster_keys: slots(cluster_keys),
             chain,
             revoke_seq: 0,
             pending_revocations: Vec::new(),
             pending_reveals: Vec::new(),
-            windows: HashMap::new(),
             evicted: Vec::new(),
             seq: 0,
             epoch: 0,
             link_advertised: false,
             dedup,
-            sealers: SealerCache::new(),
             last_route_reply: None,
             rx_scratch: Vec::new(),
             journal: None,
@@ -188,11 +215,29 @@ impl BaseStation {
     /// tracks the network's epoch).
     pub fn apply_hash_refresh(&mut self) {
         self.record(|| StateMutation::EpochRatchet);
+        self.hash_step_cluster_keys();
+    }
+
+    fn hash_step_cluster_keys(&mut self) {
         for kc in self.cluster_keys.values_mut() {
-            *kc = refresh::hash_step(kc);
+            kc.hash_step();
         }
-        self.own_kc = self.cluster_keys[&self.id];
         self.epoch += 1;
+    }
+
+    /// The BS's own singleton-cluster key slot (never revoked).
+    fn own_kc(&mut self) -> &mut SubkeySlot {
+        self.cluster_keys
+            .get_mut(&self.id)
+            .expect("the BS never drops its own cluster key")
+    }
+
+    /// Drops the cluster keys a revocation command names, except the
+    /// BS's own: the BS opens nothing under a revoked key afterwards.
+    fn drop_cluster_keys(&mut self, cids: &[ClusterId]) {
+        for cid in cids.iter().filter(|&&cid| cid != self.id) {
+            self.cluster_keys.remove(cid);
+        }
     }
 
     /// Rolls forward through every auto-refresh epoch whose boundary
@@ -215,36 +260,40 @@ impl BaseStation {
     /// `Ki` joins the registry and its potential cluster key the key map.
     pub fn register_node(&mut self, id: u32, ki: Key128, kc: Key128) {
         self.record(|| StateMutation::Join { id, ki, kc });
-        self.registry.insert(id, ki);
-        self.cluster_keys.insert(id, kc);
+        self.join(id, ki, kc);
+    }
+
+    /// Installs a joiner's keys. A node already registered keeps its
+    /// counter window (a wiped reboot re-registers under the same id).
+    fn join(&mut self, id: u32, ki: Key128, kc: Key128) {
+        self.nodes
+            .entry(id)
+            .and_modify(|e| e.ki = SubkeySlot::new(ki))
+            .or_insert_with(|| NodeEntry::new(ki, None));
+        self.cluster_keys.insert(id, SubkeySlot::new(kc));
     }
 
     /// Multi-sink handoff, sending side: removes and returns the per-node
     /// partition entry (`Ki` + replay window) so it can be installed at
     /// the sink now serving the node. `None` if this sink does not hold
     /// the node's entry.
-    pub fn take_node_state(&mut self, node: u32) -> Option<crate::sink::SinkNodeState> {
-        let ki = self.registry.remove(&node)?;
-        let window = self.windows.remove(&node).unwrap_or_default();
+    pub fn take_node_state(&mut self, node: u32) -> Option<SinkNodeState> {
+        let state = self.nodes.remove(&node)?.state(node);
         self.record(|| StateMutation::RehomeOut { node });
-        Some(crate::sink::SinkNodeState {
-            id: node,
-            ki,
-            window,
-        })
+        Some(state)
     }
 
     /// Multi-sink handoff, receiving side: installs a partition entry
     /// taken from another sink. The replay window travels with the key so
     /// a handoff never re-opens the counter-replay surface.
-    pub fn install_node_state(&mut self, state: crate::sink::SinkNodeState) {
+    pub fn install_node_state(&mut self, state: SinkNodeState) {
         self.record(|| StateMutation::RehomeIn {
             node: state.id,
             ki: state.ki,
             last_ctr: state.window.last(),
         });
-        self.registry.insert(state.id, state.ki);
-        self.windows.insert(state.id, state.window);
+        let entry = NodeEntry::new(state.ki, Some(state.window));
+        self.nodes.insert(state.id, entry);
     }
 
     /// Inter-sink handoff, sending side, phase 0: a *copy* of the node's
@@ -253,14 +302,8 @@ impl BaseStation {
     /// local entry (via [`Self::take_node_state`]) once the receiver has
     /// acknowledged the install — between the two steps both sinks hold
     /// the entry, so a lost datagram can never lose it.
-    pub fn copy_node_state(&self, node: u32) -> Option<crate::sink::SinkNodeState> {
-        let ki = self.registry.get(&node).copied()?;
-        let window = self.windows.get(&node).cloned().unwrap_or_default();
-        Some(crate::sink::SinkNodeState {
-            id: node,
-            ki,
-            window,
-        })
+    pub fn copy_node_state(&self, node: u32) -> Option<SinkNodeState> {
+        Some(self.nodes.get(&node)?.state(node))
     }
 
     /// Journals the intent to hand `node` off to `to_sink` (phase 1 of
@@ -276,26 +319,26 @@ impl BaseStation {
     /// dead. Journals [`StateMutation::FailoverIn`] (same state effect as
     /// a rehome-in, with provenance) *before* the entry is served, so a
     /// takeover that itself crashes replays the installs from its WAL.
-    pub fn install_failover_state(&mut self, state: crate::sink::SinkNodeState, from_sink: u32) {
+    pub fn install_failover_state(&mut self, state: SinkNodeState, from_sink: u32) {
         self.record(|| StateMutation::FailoverIn {
             node: state.id,
             ki: state.ki,
             from_sink,
         });
-        self.registry.insert(state.id, state.ki);
-        self.windows.insert(state.id, state.window);
+        let entry = NodeEntry::new(state.ki, Some(state.window));
+        self.nodes.insert(state.id, entry);
     }
 
     /// Whether this sink holds `node`'s partition entry.
     pub fn holds(&self, node: u32) -> bool {
-        self.registry.contains_key(&node)
+        self.nodes.contains_key(&node)
     }
 
     /// The node ids whose partition entries this sink currently holds
     /// (ascending) — the invariant across handoffs and failovers is that
     /// every sensor is held by exactly one live sink.
     pub fn registered_nodes(&self) -> Vec<u32> {
-        let mut v: Vec<u32> = self.registry.keys().copied().collect();
+        let mut v: Vec<u32> = self.nodes.keys().copied().collect();
         v.sort_unstable();
         v
     }
@@ -305,10 +348,7 @@ impl BaseStation {
     /// harness syncs it — see DESIGN.md "known deviations").
     pub fn set_cluster_key(&mut self, cid: ClusterId, kc: Key128) {
         self.record(|| StateMutation::ClusterKey { cid, kc });
-        self.cluster_keys.insert(cid, kc);
-        if cid == self.id {
-            self.own_kc = kc;
-        }
+        self.cluster_keys.insert(cid, SubkeySlot::new(kc));
     }
 
     fn next_seq(&mut self) -> u64 {
@@ -357,17 +397,16 @@ impl BaseStation {
             });
             return;
         }
-        let Some(ki) = self.registry.get(&unit.src).copied() else {
+        let Some(entry) = self.nodes.get_mut(&unit.src) else {
             self.drops.unknown_cluster += 1;
             return;
         };
-        // One cached sealer serves every candidate counter below — the
-        // implicit-mode window loop used to rebuild it per attempt.
-        let ae = self.sealers.get(&ki);
-        let window = self.windows.entry(unit.src).or_default();
+        // One sealer serves every candidate counter below.
+        let ae = entry.ki.sealer();
+        let window = entry.window.get_or_insert_default();
         let accepted = match (self.cfg.counter_mode, unit.ctr) {
             (CounterMode::Explicit, Some(ctr)) => {
-                match e2e_open_with(ae, unit.src, ctr, &unit.body) {
+                match e2e_open_with(&ae, unit.src, ctr, &unit.body) {
                     Ok(data) => {
                         if window.accept(ctr).is_err() {
                             None // replay
@@ -383,7 +422,7 @@ impl BaseStation {
                 // recover the message."
                 let mut hit = None;
                 for ctr in window.candidates(self.cfg.counter_window) {
-                    if let Ok(data) = e2e_open_with(ae, unit.src, ctr, &unit.body) {
+                    if let Ok(data) = e2e_open_with(&ae, unit.src, ctr, &unit.body) {
                         hit = Some((data, ctr));
                         break;
                     }
@@ -416,12 +455,14 @@ impl BaseStation {
         nonce: u64,
         sealed: &[u8],
     ) {
-        let Some(key) = self.cluster_keys.get(&cid).copied() else {
+        let Some(kc) = self.cluster_keys.get_mut(&cid) else {
             self.drops.unknown_cluster += 1;
             return;
         };
+        // One sealer opens the frame and seals the ACK or route reply.
+        let ae = kc.sealer();
         let result = unwrap_in(
-            self.sealers.get(&key),
+            &ae,
             cid,
             nonce,
             sealed,
@@ -441,7 +482,7 @@ impl BaseStation {
                         // the key it arrived under: honest forwarders must
                         // stop retransmitting regardless of what end-to-end
                         // validation decides.
-                        self.send_ack(ctx, cid, key, unit.dedup_key());
+                        self.send_ack(ctx, cid, &ae, unit.dedup_key());
                     }
                     self.accept_data(unit);
                 }
@@ -454,7 +495,7 @@ impl BaseStation {
                         // The gradient root itself is always a viable next
                         // hop: answer with our own hops-0 beacon under the
                         // requester's cluster key.
-                        let frame = self.seal(cid, key, ctx.now(), &self.beacon());
+                        let frame = self.seal(cid, &ae, ctx.now(), &self.beacon());
                         ctx.broadcast(frame);
                         self.last_route_reply = Some(ctx.now());
                     }
@@ -479,8 +520,8 @@ impl BaseStation {
 
     /// Emits a hop-by-hop ACK under the key the acknowledged frame arrived
     /// under (recovery layer).
-    fn send_ack(&mut self, ctx: &mut impl Transport, cid: ClusterId, key: Key128, ack_key: u64) {
-        let frame = self.seal(cid, key, ctx.now(), &Inner::Ack { key: ack_key });
+    fn send_ack(&mut self, ctx: &mut impl Transport, cid: ClusterId, ae: &AuthEnc, ack_key: u64) {
+        let frame = self.seal(cid, ae, ctx.now(), &Inner::Ack { key: ack_key });
         ctx.broadcast(frame);
     }
 
@@ -490,12 +531,12 @@ impl BaseStation {
         Route(self.id).beacon(&self.cfg.sinks)
     }
 
-    /// Seals `inner` as one Step-2 frame under cluster `(cid, key)`,
-    /// stamped `now`. The base station is the root of every gradient, so
-    /// the header always carries hops 0.
-    fn seal(&mut self, cid: ClusterId, key: Key128, now: SimTime, inner: &Inner) -> Bytes {
+    /// Seals `inner` as one Step-2 frame under cluster `cid`'s sealer
+    /// `ae`, stamped `now`. The base station is the root of every
+    /// gradient, so the header always carries hops 0.
+    fn seal(&mut self, cid: ClusterId, ae: &AuthEnc, now: SimTime, inner: &Inner) -> Bytes {
         let seq = self.next_seq();
-        wrap_frame(self.sealers.get(&key), cid, self.id, seq, now, 0, inner)
+        wrap_frame(ae, cid, self.id, seq, now, 0, inner)
     }
 }
 
@@ -535,15 +576,18 @@ impl BaseStation {
     /// point). Maps are sorted so equal states snapshot byte-identically.
     pub fn snapshot(&self) -> BsSnapshot {
         let mut registry: Vec<(u32, Key128)> =
-            self.registry.iter().map(|(k, v)| (*k, *v)).collect();
+            self.nodes.iter().map(|(id, e)| (*id, e.ki.key())).collect();
         registry.sort_unstable_by_key(|(id, _)| *id);
-        let mut cluster_keys: Vec<(ClusterId, Key128)> =
-            self.cluster_keys.iter().map(|(k, v)| (*k, *v)).collect();
+        let mut cluster_keys: Vec<(ClusterId, Key128)> = self
+            .cluster_keys
+            .iter()
+            .map(|(cid, kc)| (*cid, kc.key()))
+            .collect();
         cluster_keys.sort_unstable_by_key(|(cid, _)| *cid);
         let mut windows: Vec<(u32, Option<u64>)> = self
-            .windows
+            .nodes
             .iter()
-            .map(|(src, w)| (*src, w.last()))
+            .filter_map(|(src, e)| Some((*src, e.window.as_ref()?.last())))
             .collect();
         windows.sort_unstable_by_key(|(src, _)| *src);
         BsSnapshot {
@@ -575,40 +619,39 @@ impl BaseStation {
         snap: BsSnapshot,
     ) -> Self {
         chain.skip_to(snap.chain_next as usize);
-        let cluster_keys: HashMap<ClusterId, Key128> = snap.cluster_keys.into_iter().collect();
-        let own_kc = *cluster_keys
-            .get(&snap.id)
-            .expect("snapshot must carry the BS's own cluster key");
+        let cluster_keys = slots(snap.cluster_keys);
+        assert!(
+            cluster_keys.contains_key(&snap.id),
+            "snapshot must carry the BS's own cluster key"
+        );
         let dedup = DedupCache::new(cfg.dedup_cache);
-        let windows = snap
-            .windows
+        let mut nodes: HashMap<u32, NodeEntry> = snap
+            .registry
             .into_iter()
-            .map(|(src, last)| {
-                let mut w = CounterWindow::new();
-                if let Some(c) = last {
-                    let _ = w.accept(c);
-                }
-                (src, w)
-            })
+            .map(|(id, ki)| (id, NodeEntry::new(ki, None)))
             .collect();
+        // A window exists only beside its node's key, so a window without
+        // one cannot occur in a snapshot cut by `snapshot`.
+        for (src, last) in snap.windows {
+            if let Some(e) = nodes.get_mut(&src) {
+                e.window = Some(CounterWindow::resumed(last));
+            }
+        }
         BaseStation {
             cfg,
             id: snap.id,
             km,
-            own_kc,
-            registry: snap.registry.into_iter().collect(),
+            nodes,
             cluster_keys,
             chain,
             revoke_seq: snap.revoke_seq,
             pending_revocations: snap.pending_revocations,
             pending_reveals: snap.pending_reveals,
-            windows,
             evicted: snap.evicted,
             seq: (snap.seq / SEQ_RESERVE_STRIDE + 2) * SEQ_RESERVE_STRIDE,
             epoch: snap.epoch,
             link_advertised: snap.link_advertised,
             dedup,
-            sealers: SealerCache::new(),
             last_route_reply: None,
             rx_scratch: Vec::new(),
             journal: None,
@@ -626,24 +669,16 @@ impl BaseStation {
     /// in the previous incarnation.
     pub fn apply_mutation(&mut self, m: &StateMutation) {
         match m {
-            StateMutation::Join { id, ki, kc } => {
-                self.registry.insert(*id, *ki);
-                self.cluster_keys.insert(*id, *kc);
-            }
-            StateMutation::EpochRatchet => {
-                for kc in self.cluster_keys.values_mut() {
-                    *kc = refresh::hash_step(kc);
-                }
-                self.own_kc = self.cluster_keys[&self.id];
-                self.epoch += 1;
-            }
+            StateMutation::Join { id, ki, kc } => self.join(*id, *ki, *kc),
+            StateMutation::EpochRatchet => self.hash_step_cluster_keys(),
             StateMutation::RevokeQueued { cids, nodes } => {
                 self.evicted.extend_from_slice(nodes);
                 self.pending_revocations.push(cids.clone());
             }
             StateMutation::RevokeFired { seq, two_phase } => {
                 if !self.pending_revocations.is_empty() {
-                    self.pending_revocations.remove(0);
+                    let cids = self.pending_revocations.remove(0);
+                    self.drop_cluster_keys(&cids);
                 }
                 let link = self.chain.reveal_next();
                 self.revoke_seq = *seq;
@@ -658,25 +693,20 @@ impl BaseStation {
             }
             StateMutation::RevealFlushed => self.pending_reveals.clear(),
             StateMutation::CounterAccept { src, ctr } => {
-                let _ = self.windows.entry(*src).or_default().accept(*ctr);
+                // Journaled only for a registered source.
+                if let Some(e) = self.nodes.get_mut(src) {
+                    let _ = e.window.get_or_insert_default().accept(*ctr);
+                }
             }
             StateMutation::ClusterKey { cid, kc } => {
-                self.cluster_keys.insert(*cid, *kc);
-                if *cid == self.id {
-                    self.own_kc = *kc;
-                }
+                self.cluster_keys.insert(*cid, SubkeySlot::new(*kc));
             }
             StateMutation::RehomeOut { node } => {
-                self.registry.remove(node);
-                self.windows.remove(node);
+                self.nodes.remove(node);
             }
             StateMutation::RehomeIn { node, ki, last_ctr } => {
-                self.registry.insert(*node, *ki);
-                let mut w = CounterWindow::new();
-                if let Some(c) = last_ctr {
-                    let _ = w.accept(*c);
-                }
-                self.windows.insert(*node, w);
+                let entry = NodeEntry::new(*ki, Some(CounterWindow::resumed(*last_ctr)));
+                self.nodes.insert(*node, entry);
             }
             StateMutation::SeqReserve { next } => {
                 self.seq = self.seq.max(next + SEQ_RESERVE_STRIDE);
@@ -686,8 +716,11 @@ impl BaseStation {
             // RehomeOut (cut after the receiver's ack) replays.
             StateMutation::HandoffIntent { .. } => {}
             StateMutation::FailoverIn { node, ki, .. } => {
-                self.registry.insert(*node, *ki);
-                self.windows.entry(*node).or_default();
+                // Same as a live install, except that a window already
+                // held is kept.
+                let window = self.nodes.remove(node).and_then(|e| e.window);
+                let entry = NodeEntry::new(*ki, Some(window.unwrap_or_default()));
+                self.nodes.insert(*node, entry);
             }
         }
     }
@@ -714,17 +747,14 @@ impl BaseStation {
                 self.record(|| StateMutation::LinkAdvertised);
                 self.link_advertised = true;
                 let seq = self.next_seq();
-                let (nonce, sealed) = seal_setup_with(
-                    self.sealers.get(&self.km),
-                    self.id,
-                    seq,
-                    self.id,
-                    &self.own_kc,
-                );
+                let own_kc = self.own_kc().key();
+                let (nonce, sealed) =
+                    seal_setup_with(&sealer(&self.km), self.id, seq, self.id, &own_kc);
                 ctx.broadcast(Message::LinkAdvert { nonce, sealed }.encode());
             }
             TIMER_BEACON => {
-                let frame = self.seal(self.id, self.own_kc, ctx.now(), &self.beacon());
+                let ae = self.own_kc().sealer();
+                let frame = self.seal(self.id, &ae, ctx.now(), &self.beacon());
                 ctx.broadcast(frame);
             }
             TIMER_BS_AUTO_REFRESH => {
@@ -742,6 +772,7 @@ impl BaseStation {
                     self.revoke_seq += 1;
                     let (seq, two_phase) = (self.revoke_seq, self.cfg.two_phase_revocation);
                     self.record(|| StateMutation::RevokeFired { seq, two_phase });
+                    self.drop_cluster_keys(&cids);
                     if self.cfg.two_phase_revocation {
                         // Phase 1: announce under the undisclosed link.
                         let tag = crate::evict::revoke_tag(&link, self.revoke_seq, &cids);
@@ -792,6 +823,13 @@ impl BaseStation {
     }
 }
 
+/// Unbuilt slots for a `cid -> Kc` map.
+fn slots(keys: impl IntoIterator<Item = (ClusterId, Key128)>) -> HashMap<ClusterId, SubkeySlot> {
+    keys.into_iter()
+        .map(|(cid, kc)| (cid, SubkeySlot::new(kc)))
+        .collect()
+}
+
 impl App for BaseStation {
     fn on_start(&mut self, ctx: &mut Ctx) {
         self.dispatch_start(ctx);
@@ -811,6 +849,7 @@ mod tests {
     use super::*;
     use crate::forward::e2e_seal;
     use crate::keys::Provisioner;
+    use crate::refresh;
     use bytes::Bytes;
 
     fn bs_with(cfg: ProtocolConfig) -> (BaseStation, Provisioner) {
@@ -928,11 +967,14 @@ mod tests {
     #[test]
     fn hash_refresh_keeps_own_key_synced() {
         let (mut bs, p) = bs_with(ProtocolConfig::default());
-        let before = bs.own_kc;
+        let before = bs.own_kc().key();
         bs.apply_hash_refresh();
         assert_eq!(bs.epoch(), 1);
-        assert_ne!(bs.own_kc, before);
-        assert_eq!(bs.own_kc, refresh::cluster_key_at_epoch(&p.kmc(), 0, 1));
+        assert_ne!(bs.own_kc().key(), before);
+        assert_eq!(
+            bs.own_kc().key(),
+            refresh::cluster_key_at_epoch(&p.kmc(), 0, 1)
+        );
     }
 
     #[test]
@@ -1002,6 +1044,265 @@ mod tests {
         bs.accept_data(sealed_unit(&p, 2, 0, b"r0", false));
         bs.apply_hash_refresh();
         assert!(bs.drain_journal().is_empty());
+    }
+
+    /// A transport that records what the base station sends.
+    struct Probe {
+        now: SimTime,
+        rng: rand::rngs::StdRng,
+        sent: Vec<Bytes>,
+    }
+
+    impl Probe {
+        fn at(now: SimTime) -> Self {
+            use rand::SeedableRng;
+            Probe {
+                now,
+                rng: rand::rngs::StdRng::seed_from_u64(1),
+                sent: Vec::new(),
+            }
+        }
+    }
+
+    impl Transport for Probe {
+        fn id(&self) -> NodeId {
+            0
+        }
+        fn now(&self) -> SimTime {
+            self.now
+        }
+        fn rng(&mut self) -> &mut rand::rngs::StdRng {
+            &mut self.rng
+        }
+        fn broadcast(&mut self, payload: Bytes) {
+            self.sent.push(payload);
+        }
+        fn send(&mut self, _to: NodeId, payload: Bytes) {
+            self.sent.push(payload);
+        }
+        fn set_timer(&mut self, _key: TimerKey, _delay: SimTime) {}
+        fn cancel_timer(&mut self, _key: TimerKey) {}
+    }
+
+    /// A Step-2 frame carrying `src`'s Step-1 reading `ctr`, wrapped by
+    /// `src` under cluster `cid`'s sealer `kc`.
+    fn reading_frame(p: &Provisioner, kc: &AuthEnc, cid: u32, src: u32, ctr: u64) -> Bytes {
+        let unit = sealed_unit(p, src, ctr, &ctr.to_be_bytes(), true);
+        wrap_frame(kc, cid, src, ctr, NOW, 1, &Inner::Data(unit))
+    }
+
+    const NOW: SimTime = 1_000_000;
+
+    fn acking_cfg() -> ProtocolConfig {
+        ProtocolConfig::default()
+            .with_counter_mode(CounterMode::Explicit)
+            .with_recovery(crate::config::RecoveryConfig::default())
+    }
+
+    /// Dispatches `frame` and requires that the base station refuses it
+    /// for its cluster key: counted as bad auth or an unknown cluster,
+    /// with no reading and no ACK.
+    fn assert_refused(bs: &mut BaseStation, frame: &Bytes, what: &str) {
+        let mut ctx = Probe::at(NOW);
+        let (drops, readings) = (bs.drops, bs.received.len());
+        bs.dispatch_message(&mut ctx, frame);
+        let refused = (bs.drops.bad_auth - drops.bad_auth)
+            + (bs.drops.unknown_cluster - drops.unknown_cluster);
+        assert_eq!(refused, 1, "{what}: not refused for its key");
+        assert_eq!(bs.received.len(), readings, "{what}: reading accepted");
+        assert!(ctx.sent.is_empty(), "{what}: answered");
+    }
+
+    /// Dispatches `frame` and requires one accepted reading and one ACK.
+    fn assert_accepted(bs: &mut BaseStation, frame: &Bytes, what: &str) {
+        let mut ctx = Probe::at(NOW);
+        let readings = bs.received.len();
+        bs.dispatch_message(&mut ctx, frame);
+        assert_eq!(bs.received.len(), readings + 1, "{what}: no reading");
+        assert_eq!(ctx.sent.len(), 1, "{what}: no ACK");
+    }
+
+    #[test]
+    fn old_or_revoked_keys_open_nothing() {
+        let (mut bs, p) = bs_with(acking_cfg());
+        bs.enable_journal();
+        let base = bs.snapshot();
+        let kc = |cid| p.cluster_key_of(cid);
+
+        // Hash refresh: cluster 1's pre-refresh key is dead.
+        let old1 = sealer(&kc(1));
+        assert_accepted(&mut bs, &reading_frame(&p, &old1, 1, 1, 0), "epoch 0");
+        bs.apply_hash_refresh();
+        let stale_refresh = reading_frame(&p, &old1, 1, 1, 1);
+        let new1 = sealer(&refresh::hash_step(&kc(1)));
+        assert_refused(&mut bs, &stale_refresh, "pre-refresh key");
+        assert_accepted(&mut bs, &reading_frame(&p, &new1, 1, 1, 2), "epoch 1");
+
+        // Replacement: cluster 2's replaced key is dead.
+        let old2 = sealer(&refresh::hash_step(&kc(2)));
+        assert_accepted(&mut bs, &reading_frame(&p, &old2, 2, 2, 0), "old kc");
+        let replaced = Key128::from_bytes([0x77; 16]);
+        bs.set_cluster_key(2, replaced);
+        let stale_replaced = reading_frame(&p, &old2, 2, 2, 1);
+        assert_refused(&mut bs, &stale_replaced, "replaced key");
+        let new2 = sealer(&replaced);
+        assert_accepted(&mut bs, &reading_frame(&p, &new2, 2, 2, 2), "new kc");
+
+        // Revocation: cluster 3's key is dead once the command fires (the
+        // node itself is not evicted, so only the key refuses it). The
+        // BS's own cluster 0 is named too and survives.
+        let cur3 = sealer(&refresh::hash_step(&kc(3)));
+        assert_accepted(&mut bs, &reading_frame(&p, &cur3, 3, 3, 0), "pre-revoke");
+        bs.queue_revocation(vec![0, 3], vec![]);
+        let mut ctx = Probe::at(NOW);
+        bs.dispatch_timer(&mut ctx, TIMER_REVOKE);
+        assert_eq!(ctx.sent.len(), 1, "the revocation goes out");
+        let revoked = reading_frame(&p, &cur3, 3, 3, 1);
+        assert_refused(&mut bs, &revoked, "revoked cid");
+        assert_eq!(bs.own_kc().key(), refresh::hash_step(&kc(0)));
+        bs.dispatch_timer(&mut ctx, TIMER_BEACON);
+        assert_eq!(ctx.sent.len(), 2, "the BS still beacons");
+
+        // A base station restored from the snapshot and the journal
+        // refuses the same frames.
+        let mut restored =
+            BaseStation::from_snapshot(acking_cfg(), p.km(), p.revocation_chain(), base);
+        for m in bs.drain_journal() {
+            restored.apply_mutation(&m);
+        }
+        for (frame, what) in [
+            (&stale_refresh, "restored: pre-refresh key"),
+            (&stale_replaced, "restored: replaced key"),
+            (&revoked, "restored: revoked cid"),
+        ] {
+            assert_refused(&mut restored, frame, what);
+        }
+        assert_accepted(
+            &mut restored,
+            &reading_frame(&p, &new1, 1, 1, 3),
+            "restored",
+        );
+    }
+
+    #[test]
+    fn no_subkeys_outlive_their_key() {
+        let (mut bs, p) = bs_with(acking_cfg());
+        let mut ctx = Probe::at(NOW);
+        for src in 1..4 {
+            let kc = sealer(&p.cluster_key_of(src));
+            bs.dispatch_message(&mut ctx, &reading_frame(&p, &kc, src, src, 0));
+        }
+        assert_eq!(bs.received.len(), 3);
+        assert!((1..4).all(|id| bs.cluster_keys[&id].derived() && bs.nodes[&id].ki.derived()));
+
+        bs.set_cluster_key(1, Key128::from_bytes([1; 16]));
+        bs.register_node(2, Key128::from_bytes([2; 16]), Key128::from_bytes([3; 16]));
+        assert!(!bs.cluster_keys[&1].derived() && bs.cluster_keys[&3].derived());
+        assert!(!bs.cluster_keys[&2].derived() && !bs.nodes[&2].ki.derived());
+        assert_eq!(bs.nodes[&2].window.as_ref().unwrap().last(), Some(0));
+        bs.apply_hash_refresh();
+        assert!(bs.cluster_keys.values().all(|kc| !kc.derived()));
+        bs.queue_revocation(vec![3], vec![]);
+        bs.dispatch_timer(&mut ctx, TIMER_REVOKE);
+        assert!(!bs.cluster_keys.contains_key(&3));
+    }
+
+    #[test]
+    fn same_outputs_past_the_old_cache_size() {
+        // More sources than the old 4,096-entry sealer cache held, each its
+        // own cluster, as on the socket path.
+        const SOURCES: u32 = 10_000;
+        let cfg = acking_cfg();
+        let mut p = Provisioner::new(7);
+        for id in 0..=SOURCES {
+            p.provision(id);
+        }
+        let cluster_keys = (0..=SOURCES).map(|i| (i, p.cluster_key_of(i))).collect();
+        let registry = p.registry().clone();
+        let mut bs = BaseStation::new(
+            cfg.clone(),
+            0,
+            p.km(),
+            registry,
+            cluster_keys,
+            p.revocation_chain(),
+        );
+        bs.enable_journal();
+        let base = bs.snapshot();
+        let mut kcs: Vec<Key128> = (0..=SOURCES).map(|i| p.cluster_key_of(i)).collect();
+        let mut seq = 0;
+        let mut ctx = Probe::at(NOW);
+        // Two readings per source; every output is checked against one
+        // built from nothing. Returns the round's journal.
+        let mut round = |bs: &mut BaseStation, kcs: &[Key128], ctrs: [u64; 2]| {
+            let mut journal = Vec::new();
+            for src in 1..=SOURCES {
+                let ae = sealer(&kcs[src as usize]);
+                for ctr in ctrs {
+                    let frame = reading_frame(&p, &ae, src, src, ctr);
+                    bs.dispatch_message(&mut ctx, &frame);
+                    let unit = sealed_unit(&p, src, ctr, &ctr.to_be_bytes(), true);
+                    let ack = Inner::Ack {
+                        key: unit.dedup_key(),
+                    };
+                    let want = wrap_frame(&ae, src, 0, seq, NOW, 0, &ack);
+                    assert_eq!(ctx.sent.pop(), Some(want), "ACK of {src}/{ctr}");
+                    assert_eq!(
+                        bs.received.pop(),
+                        Some(Reading {
+                            src,
+                            data: ctr.to_be_bytes().to_vec(),
+                            ctr: Some(ctr),
+                        })
+                    );
+                    let mut want = Vec::new();
+                    if seq.is_multiple_of(SEQ_RESERVE_STRIDE) {
+                        let next = seq + SEQ_RESERVE_STRIDE;
+                        want.push(StateMutation::SeqReserve { next });
+                    }
+                    want.push(StateMutation::CounterAccept { src, ctr });
+                    let batch = bs.drain_journal();
+                    assert_eq!(batch, want);
+                    journal.extend(batch);
+                    seq += 1;
+                }
+            }
+            journal
+        };
+        let mut journal = round(&mut bs, &kcs, [0, 1]);
+        bs.apply_hash_refresh();
+        for kc in &mut kcs {
+            *kc = refresh::hash_step(kc);
+        }
+        let replaced = Key128::from_bytes([0x5A; 16]);
+        bs.set_cluster_key(SOURCES / 2, replaced);
+        kcs[SOURCES as usize / 2] = replaced;
+        let keyed = bs.drain_journal();
+        assert_eq!(
+            keyed,
+            [
+                StateMutation::EpochRatchet,
+                StateMutation::ClusterKey {
+                    cid: SOURCES / 2,
+                    kc: replaced
+                }
+            ]
+        );
+        journal.extend(keyed);
+        journal.extend(round(&mut bs, &kcs, [2, 3]));
+        assert_eq!(bs.drops, DropCounts::default());
+        assert_eq!(bs.counter_rejects, 0);
+
+        // No derived material reaches the snapshot: a BS that never
+        // derived anything snapshots the same.
+        let mut restored = BaseStation::from_snapshot(cfg, p.km(), p.revocation_chain(), base);
+        for m in &journal {
+            restored.apply_mutation(m);
+        }
+        let (mut want, mut got) = (bs.snapshot(), restored.snapshot());
+        assert!(got.seq >= want.seq);
+        (want.seq, got.seq) = (0, 0);
+        assert_eq!(got, want);
     }
 
     #[test]

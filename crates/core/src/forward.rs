@@ -30,10 +30,8 @@
 
 use crate::config::ProtocolConfig;
 use crate::error::ProtocolError;
-use crate::hash::FoldState;
 use crate::msg::{ClusterId, Inner, InnerRef, Message, WRAPPED_HEADER_BYTES};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use std::collections::HashMap;
 use wsn_crypto::authenc::AuthEnc;
 use wsn_crypto::ctr::message_nonce;
 use wsn_crypto::prf::PrfKey;
@@ -51,57 +49,12 @@ pub fn derive_pair(base: &Key128) -> (Key128, Key128) {
 /// Builds the authenticated-encryption context for a base key.
 ///
 /// Expensive: two PRF evaluations plus two RC5 key expansions, so
-/// steady-state paths build it once per key: a sensor keeps it in the
-/// key's slot (`keys::KeySlot`), the base station in a [`SealerCache`].
+/// steady-state paths do not build it per frame: a sensor keeps it in the
+/// key's slot (`keys::KeySlot`); the base station keeps the derived pair
+/// (`keys::SubkeySlot`) and expands only the two schedules per frame.
 pub fn sealer(base: &Key128) -> AuthEnc {
     let (ke, km) = derive_pair(base);
     AuthEnc::new(ke, km)
-}
-
-/// Upper bound on cached sealers; the map is cleared wholesale when it is
-/// reached.
-const SEALER_CACHE_MAX: usize = 4096;
-
-/// The base station's cache of [`sealer`] results, keyed by base key.
-///
-/// Every seal/open rebuilds `AuthEnc` from the base key — two HMAC-SHA256
-/// evaluations and two RC5 key expansions — and the base station opens
-/// under every sensor's `Ki` and every cluster key. Holding the built
-/// sealers here makes re-expansion free for keys that recur; refreshed
-/// keys simply miss and insert (stale entries are evicted wholesale at
-/// `SEALER_CACHE_MAX`).
-/// Its keys are secret random keys, so the map hashes them with the
-/// crate's non-keyed `FoldState` rather than SipHash.
-#[derive(Clone, Default)]
-pub struct SealerCache {
-    map: HashMap<Key128, AuthEnc, FoldState>,
-}
-
-impl SealerCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        SealerCache::default()
-    }
-
-    /// The sealer for `base`, building and caching it on first use.
-    pub fn get(&mut self, base: &Key128) -> &AuthEnc {
-        if self.map.len() >= SEALER_CACHE_MAX && !self.map.contains_key(base) {
-            self.map.clear();
-        }
-        self.map.entry(*base).or_insert_with(|| sealer(base))
-    }
-
-    /// Number of cached sealers.
-    #[allow(clippy::len_without_is_empty)]
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-}
-
-impl std::fmt::Debug for SealerCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "SealerCache({} entries)", self.map.len())
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -425,6 +378,13 @@ impl CounterWindow {
         CounterWindow::default()
     }
 
+    /// State whose last accepted counter is `last` (a restored window).
+    pub fn resumed(last: Option<u64>) -> Self {
+        CounterWindow {
+            last_accepted: last,
+        }
+    }
+
     /// The candidate counters to try for the next message, in order.
     pub fn candidates(&self, window: u64) -> impl Iterator<Item = u64> {
         let start = self.last_accepted.map_or(0, |c| c + 1);
@@ -594,39 +554,38 @@ mod tests {
 
     #[test]
     fn cached_sealer_paths_byte_identical() {
-        // Every `_with` variant fed from a SealerCache must reproduce the
+        // Every `_with` variant fed a prebuilt sealer must reproduce the
         // fresh-expansion output exactly.
         let km = Key128::from_bytes([21; 16]);
         let ki = Key128::from_bytes([22; 16]);
         let kc = Key128::from_bytes([23; 16]);
-        let mut cache = SealerCache::new();
+        let (ae_m, ae_i, ae_c) = (sealer(&km), sealer(&ki), sealer(&kc));
 
         let fresh = seal_setup(&km, 5, 2, 9, &kc);
-        let cached = seal_setup_with(cache.get(&km), 5, 2, 9, &kc);
+        let cached = seal_setup_with(&ae_m, 5, 2, 9, &kc);
         assert_eq!(fresh, cached);
         assert_eq!(
             open_setup(&km, fresh.0, &fresh.1).unwrap(),
-            open_setup_with(cache.get(&km), cached.0, &cached.1).unwrap()
+            open_setup_with(&ae_m, cached.0, &cached.1).unwrap()
         );
 
         let c1 = e2e_seal(&ki, 14, 3, b"21.5C");
-        assert_eq!(c1, e2e_seal_with(cache.get(&ki), 14, 3, b"21.5C"));
+        assert_eq!(c1, e2e_seal_with(&ae_i, 14, 3, b"21.5C"));
         assert_eq!(
             e2e_open(&ki, 14, 3, &c1).unwrap(),
-            e2e_open_with(cache.get(&ki), 14, 3, &c1).unwrap()
+            e2e_open_with(&ae_i, 14, 3, &c1).unwrap()
         );
 
         let inner = Inner::Beacon;
         let m1 = wrap(&kc, 13, 17, 0, 1_000, 2, &inner);
-        let m2 = wrap_with(cache.get(&kc), 13, 17, 0, 1_000, 2, &inner);
+        let m2 = wrap_with(&ae_c, 13, 17, 0, 1_000, 2, &inner);
         assert_eq!(m1, m2);
-        assert_eq!(cache.len(), 3);
     }
 
     #[test]
     fn wrap_frame_matches_wrap_then_encode() {
         let kc = Key128::from_bytes([31; 16]);
-        let mut cache = SealerCache::new();
+        let ae = sealer(&kc);
         for inner in [
             Inner::Beacon,
             Inner::RefreshHello {
@@ -641,7 +600,7 @@ mod tests {
             }),
         ] {
             let legacy = wrap(&kc, 9, 14, 5, 777, 3, &inner).encode();
-            let fast = wrap_frame(cache.get(&kc), 9, 14, 5, 777, 3, &inner);
+            let fast = wrap_frame(&ae, 9, 14, 5, 777, 3, &inner);
             assert_eq!(legacy, fast, "inner {inner:?}");
         }
     }
@@ -649,7 +608,7 @@ mod tests {
     #[test]
     fn unwrap_in_matches_unwrap() {
         let kc = Key128::from_bytes([33; 16]);
-        let mut cache = SealerCache::new();
+        let ae = sealer(&kc);
         let mut scratch = Vec::new();
         let Message::Wrapped { cid, nonce, sealed } =
             wrap(&kc, 13, 17, 0, 1_000, 2, &Inner::Beacon)
@@ -657,43 +616,15 @@ mod tests {
             unreachable!()
         };
         let a = unwrap(&kc, cid, nonce, &sealed, 2_000, &cfg()).unwrap();
-        let b = unwrap_in(
-            cache.get(&kc),
-            cid,
-            nonce,
-            &sealed,
-            2_000,
-            &cfg(),
-            &mut scratch,
-        )
-        .unwrap();
+        let b = unwrap_in(&ae, cid, nonce, &sealed, 2_000, &cfg(), &mut scratch).unwrap();
         assert_eq!(a, b);
 
         // Error paths agree too (truncated input, wrong cid).
-        assert!(unwrap_in(cache.get(&kc), cid, nonce, &[], 0, &cfg(), &mut scratch).is_err());
+        assert!(unwrap_in(&ae, cid, nonce, &[], 0, &cfg(), &mut scratch).is_err());
         assert_eq!(
-            unwrap_in(
-                cache.get(&kc),
-                cid + 1,
-                nonce,
-                &sealed,
-                2_000,
-                &cfg(),
-                &mut scratch
-            ),
+            unwrap_in(&ae, cid + 1, nonce, &sealed, 2_000, &cfg(), &mut scratch),
             unwrap(&kc, cid + 1, nonce, &sealed, 2_000, &cfg())
         );
-    }
-
-    #[test]
-    fn sealer_cache_reuses_entries() {
-        let mut cache = SealerCache::new();
-        let k = Key128::from_bytes([40; 16]);
-        cache.get(&k);
-        cache.get(&k);
-        assert_eq!(cache.len(), 1);
-        cache.get(&Key128::from_bytes([41; 16]));
-        assert_eq!(cache.len(), 2);
     }
 
     #[test]

@@ -1,10 +1,9 @@
-//! One small non-keyed hasher for the per-event lookup tables whose keys
-//! are already uniform: [`crate::forward::SealerCache`] (keyed by secret
-//! random 128-bit keys) and [`crate::fusion::DedupCache`] (keyed by FNV
-//! dedup keys). std's default SipHash-1-3 spends more on a lookup than
-//! these tables need; a 64×64→128-bit multiply folded to 64 bits mixes
-//! every input bit into both the low bits (the bucket index) and the top
-//! bits (the control byte). Why dropping the per-process key is safe is
+//! One small non-keyed hasher for the per-event lookup table whose keys
+//! are already uniform: [`crate::fusion::DedupCache`] (keyed by FNV dedup
+//! keys). std's default SipHash-1-3 spends more on a lookup than that
+//! table needs; a 64×64→128-bit multiply folded to 64 bits mixes every
+//! input bit into both the low bits (the bucket index) and the top bits
+//! (the control byte). Why dropping the per-process key is safe is
 //! DESIGN.md §5a item 12.
 
 use std::hash::{BuildHasherDefault, Hasher};

@@ -7,7 +7,7 @@
 //! numbers and keys used in the network before the deployment phase";
 //! [`Provisioner`] plays the role of that manufacturing-time authority.
 
-use crate::forward::sealer;
+use crate::forward::{derive_pair, sealer};
 use std::collections::HashMap;
 use wsn_crypto::authenc::AuthEnc;
 use wsn_crypto::drbg::HmacDrbg;
@@ -145,6 +145,53 @@ impl std::fmt::Debug for KeySlot {
             .field("key", &self.key())
             .field("sealer_built", &matches!(self.0, Slot::Built(_)))
             .finish()
+    }
+}
+
+/// A key the base station holds — a node's `Ki` or a cluster key — with
+/// its subkeys `Kencr = F(K, 0)`, `Kmac = F(K, 1)` derived on first use
+/// and then kept.
+///
+/// The base station holds one per provisioned node and one per potential
+/// cluster, so unlike a sensor's [`KeySlot`] it keeps only the 32-byte
+/// pair, not a built sealer: [`Self::sealer`] expands the two cipher
+/// schedules from the pair on each call, and the caller reuses the result
+/// for everything one frame needs. As on sensors, the derived pair lives
+/// exactly as long as the key: replacing or hash-stepping the key, or
+/// dropping the slot, drops the pair with it.
+pub(crate) struct SubkeySlot {
+    key: Key128,
+    pair: Option<(Key128, Key128)>,
+}
+
+impl SubkeySlot {
+    /// A slot holding `key`, its subkeys not derived yet.
+    pub(crate) fn new(key: Key128) -> Self {
+        SubkeySlot { key, pair: None }
+    }
+
+    /// The key.
+    pub(crate) fn key(&self) -> Key128 {
+        self.key
+    }
+
+    /// Rolls the key one refresh epoch forward, `K ← F(K)`, dropping the
+    /// old key's subkeys.
+    pub(crate) fn hash_step(&mut self) {
+        *self = SubkeySlot::new(crate::refresh::hash_step(&self.key));
+    }
+
+    /// A sealer for the key, built from the kept subkeys (derived on
+    /// first use).
+    pub(crate) fn sealer(&mut self) -> AuthEnc {
+        let (ke, km) = *self.pair.get_or_insert_with(|| derive_pair(&self.key));
+        AuthEnc::new(ke, km)
+    }
+
+    /// Whether the subkeys have been derived.
+    #[cfg(test)]
+    pub(crate) fn derived(&self) -> bool {
+        self.pair.is_some()
     }
 }
 
