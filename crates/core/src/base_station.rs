@@ -232,12 +232,31 @@ impl BaseStation {
             .expect("the BS never drops its own cluster key")
     }
 
-    /// Drops the cluster keys a revocation command names, except the
-    /// BS's own: the BS opens nothing under a revoked key afterwards.
-    fn drop_cluster_keys(&mut self, cids: &[ClusterId]) {
+    /// What a fired revocation command leaves at this sink: the cluster
+    /// keys it names are dropped, except the BS's own, and so is every
+    /// evicted node's `Ki`. The sink opens nothing under either
+    /// afterwards.
+    fn drop_revoked(&mut self, cids: &[ClusterId]) {
         for cid in cids.iter().filter(|&&cid| cid != self.id) {
             self.cluster_keys.remove(cid);
         }
+        for node in &self.evicted {
+            self.nodes.remove(node);
+        }
+    }
+
+    /// Applies a revocation command another sink fired: `nodes` are
+    /// evicted, and the command's cluster keys and the evicted nodes'
+    /// `Ki` are dropped here too. Only the issuing sink broadcasts the
+    /// command (see [`Self::queue_revocation`]); a sink that kept the
+    /// keys would go on opening and ACKing frames under them.
+    pub fn apply_revocation(&mut self, cids: Vec<ClusterId>, nodes: Vec<u32>) {
+        self.record(|| StateMutation::RevokeApplied {
+            cids: cids.clone(),
+            nodes: nodes.clone(),
+        });
+        self.evicted.extend(nodes);
+        self.drop_revoked(&cids);
     }
 
     /// Rolls forward through every auto-refresh epoch whose boundary
@@ -678,13 +697,17 @@ impl BaseStation {
             StateMutation::RevokeFired { seq, two_phase } => {
                 if !self.pending_revocations.is_empty() {
                     let cids = self.pending_revocations.remove(0);
-                    self.drop_cluster_keys(&cids);
+                    self.drop_revoked(&cids);
                 }
                 let link = self.chain.reveal_next();
                 self.revoke_seq = *seq;
                 if let (true, Some(link)) = (*two_phase, link) {
                     self.pending_reveals.push((*seq, link));
                 }
+            }
+            StateMutation::RevokeApplied { cids, nodes } => {
+                self.evicted.extend_from_slice(nodes);
+                self.drop_revoked(cids);
             }
             StateMutation::RevokeExhausted => {
                 if !self.pending_revocations.is_empty() {
@@ -772,7 +795,7 @@ impl BaseStation {
                     self.revoke_seq += 1;
                     let (seq, two_phase) = (self.revoke_seq, self.cfg.two_phase_revocation);
                     self.record(|| StateMutation::RevokeFired { seq, two_phase });
-                    self.drop_cluster_keys(&cids);
+                    self.drop_revoked(&cids);
                     if self.cfg.two_phase_revocation {
                         // Phase 1: announce under the undisclosed link.
                         let tag = crate::evict::revoke_tag(&link, self.revoke_seq, &cids);

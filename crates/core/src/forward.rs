@@ -89,13 +89,34 @@ pub fn open_setup_with(
     nonce: u64,
     sealed: &[u8],
 ) -> Result<(u32, Key128), ProtocolError> {
-    let pt = ae.open(nonce, sealed)?;
+    parse_setup(&ae.open(nonce, sealed)?)
+}
+
+/// [`open_setup`] for a sensor holding `Km` as `key`, through the
+/// delivery's receive share: every neighbour that still holds `Km` opens
+/// the same HELLO or LINK advert under it, so the first one's MAC check
+/// and decryption serve the rest. The share hands back a plaintext only
+/// if it was opened from exactly these key bytes, nonce and sealed bytes
+/// (tag included), the same input a Step-2 open records; otherwise the
+/// payload is opened here under `sealer()`, built only when needed.
+pub(crate) fn open_setup_in<'k>(
+    key: &Key128,
+    sealer: impl FnOnce() -> &'k AuthEnc,
+    nonce: u64,
+    sealed: &[u8],
+    share: &mut RxShare,
+) -> Result<(u32, Key128), ProtocolError> {
+    let input: [&[u8]; 3] = [key.as_bytes(), &nonce.to_le_bytes(), sealed];
+    parse_setup(share.open(&input, |buf| decrypt_into(sealer(), nonce, sealed, buf))?)
+}
+
+/// Splits an opened setup payload into `(id, key)`.
+fn parse_setup(mut pt: &[u8]) -> Result<(u32, Key128), ProtocolError> {
     if pt.len() != 4 + KEY_BYTES {
         return Err(ProtocolError::Malformed);
     }
-    let mut buf = &pt[..];
-    let id = buf.get_u32();
-    Ok((id, Key128::from_slice(buf)))
+    let id = pt.get_u32();
+    Ok((id, Key128::from_slice(pt)))
 }
 
 // ---------------------------------------------------------------------

@@ -8,12 +8,12 @@
 //! a bounded LRU over data-unit dedup keys, so the same reading arriving on
 //! two paths is forwarded once.
 
-use crate::hash::FoldState;
 use std::collections::HashSet;
 use std::collections::VecDeque;
+use wsn_sim::hash::FoldState;
 
 /// A bounded set with FIFO eviction, keyed by [`crate::msg::DataUnit::dedup_key`].
-/// The keys are FNV hashes, so the set uses the crate's non-keyed
+/// The keys are FNV hashes, so the set uses the non-keyed
 /// `FoldState`; the bound keeps a flood of colliding keys harmless
 /// (DESIGN.md §5a item 12).
 #[derive(Clone, Debug)]

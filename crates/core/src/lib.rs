@@ -55,7 +55,6 @@ pub mod error;
 pub mod evict;
 pub mod forward;
 pub mod fusion;
-mod hash;
 pub mod join;
 pub mod keys;
 pub mod msg;

@@ -17,6 +17,7 @@
 use crate::error::ProtocolError;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use wsn_crypto::{Key128, KEY_BYTES};
+use wsn_trace::FrameKind;
 
 /// Cluster identifier — the elected head's node ID.
 pub type ClusterId = u32;
@@ -236,6 +237,27 @@ impl Message {
         let cid = buf.get_u32();
         let nonce = buf.get_u64();
         Some((cid, nonce, buf))
+    }
+
+    /// Zero-copy view of a setup frame: `(kind, nonce, sealed)` borrowed
+    /// from `frame`, with `kind` [`FrameKind::Hello`] or
+    /// [`FrameKind::LinkAdvert`], or `None` for any other frame. Agrees
+    /// exactly with [`Message::decode`] on every input: `Some` here iff
+    /// decode yields `Message::Hello` or `Message::LinkAdvert` with these
+    /// fields. Every neighbour of a setup broadcast receives it, so the
+    /// receive path uses this to skip decode's copy of the sealed payload.
+    pub fn peek_setup(frame: &[u8]) -> Option<(FrameKind, u64, &[u8])> {
+        let kind = match frame.first() {
+            Some(&T_HELLO) => FrameKind::Hello,
+            Some(&T_LINK) => FrameKind::LinkAdvert,
+            _ => return None,
+        };
+        let mut buf = frame.get(1..)?;
+        if buf.remaining() < 8 {
+            return None;
+        }
+        let nonce = buf.get_u64();
+        Some((kind, nonce, buf))
     }
 
     /// Parses a radio frame. Never panics on malformed input.
@@ -740,7 +762,6 @@ mod tests {
         // wsn-trace classifies frames by first byte without depending on
         // this crate; pin its mapping to the real wire constants so the
         // two vocabularies cannot drift apart silently.
-        use wsn_trace::FrameKind;
         for (tag, kind) in [
             (T_HELLO, FrameKind::Hello),
             (T_LINK, FrameKind::LinkAdvert),
@@ -969,6 +990,47 @@ mod tests {
         assert_eq!(Message::peek_wrapped(&enc[..12]), None);
         assert!(Message::decode(&enc[..12]).is_err());
         assert_eq!(Message::peek_wrapped(&[]), None);
+    }
+
+    #[test]
+    fn peek_setup_agrees_with_decode() {
+        let sealed = Bytes::from_static(b"sealed setup payload");
+        for m in [
+            Message::Hello {
+                nonce: 7,
+                sealed: sealed.clone(),
+            },
+            Message::LinkAdvert {
+                nonce: 9,
+                sealed: sealed.clone(),
+            },
+        ] {
+            let enc = m.encode();
+            let (kind, nonce, body) = Message::peek_setup(&enc).expect("setup frame");
+            let rebuilt = match kind {
+                FrameKind::Hello => Message::Hello {
+                    nonce,
+                    sealed: Bytes::copy_from_slice(body),
+                },
+                _ => Message::LinkAdvert {
+                    nonce,
+                    sealed: Bytes::copy_from_slice(body),
+                },
+            };
+            assert_eq!(rebuilt, m);
+            assert_eq!(Message::decode(&enc).unwrap(), m);
+            // Truncated nonce: None, and decode agrees.
+            assert_eq!(Message::peek_setup(&enc[..8]), None);
+            assert!(Message::decode(&enc[..8]).is_err());
+        }
+        let wrapped = Message::Wrapped {
+            cid: 1,
+            nonce: 2,
+            sealed,
+        }
+        .encode();
+        assert_eq!(Message::peek_setup(&wrapped), None);
+        assert_eq!(Message::peek_setup(&[]), None);
     }
 
     #[test]

@@ -22,7 +22,7 @@
 use crate::config::{CounterMode, ProtocolConfig, RefreshMode};
 use crate::error::ProtocolError;
 use crate::evict;
-use crate::forward::{e2e_seal_with, open_in, open_setup_with, seal_setup_with, wrap_frame};
+use crate::forward::{e2e_seal_with, open_in, open_setup_in, seal_setup_with, wrap_frame};
 use crate::fusion::{DedupCache, PeekAggregator};
 use crate::join::{join_tag, verify_join_tag};
 use crate::keys::{KeySlot, NodeKeyMaterial, SensorKeys};
@@ -40,7 +40,7 @@ use wsn_crypto::Key128;
 use wsn_sim::event::{SimTime, MILLI, SECOND};
 use wsn_sim::node::{App, Ctx, NodeId, RxShare, TimerKey};
 use wsn_sim::rng::exp_delay;
-use wsn_trace::{QueueKind, TraceEvent};
+use wsn_trace::{FrameKind, QueueKind, TraceEvent};
 
 /// Timer: cluster-head election (Exp(λ) delay).
 pub const TIMER_ELECTION: TimerKey = 1;
@@ -678,12 +678,33 @@ impl ProtocolNode {
 
     // --- message handling ----------------------------------------------
 
-    fn handle_hello(&mut self, ctx: &mut impl Transport, nonce: u64, sealed: &[u8]) {
+    /// Opens a HELLO or LINK payload under `Km` through the delivery's
+    /// receive share (one of its own, zeroed after, when the backend
+    /// lends none); `None`, counted as `wrong_phase`, once `Km` is
+    /// erased.
+    fn open_under_km(
+        &mut self,
+        ctx: &mut impl Transport,
+        nonce: u64,
+        sealed: &[u8],
+    ) -> Option<Result<(u32, Key128), ProtocolError>> {
         let Some(km) = self.keys.km.as_mut() else {
             self.stats.drops.wrong_phase += 1;
+            return None;
+        };
+        let key = km.key();
+        let mut own = RxShare::default();
+        let share = ctx.rx_share().unwrap_or(&mut own);
+        let opened = open_setup_in(&key, || km.sealer(), nonce, sealed, share);
+        own.clear();
+        Some(opened)
+    }
+
+    fn handle_hello(&mut self, ctx: &mut impl Transport, nonce: u64, sealed: &[u8]) {
+        let Some(opened) = self.open_under_km(ctx, nonce, sealed) else {
             return;
         };
-        match open_setup_with(km.sealer(), nonce, sealed) {
+        match opened {
             Ok((head_id, kc)) => {
                 if self.role == Role::Undecided {
                     // Join the first head heard; no transmission at all.
@@ -700,11 +721,10 @@ impl ProtocolNode {
     }
 
     fn handle_link_advert(&mut self, ctx: &mut impl Transport, nonce: u64, sealed: &[u8]) {
-        let Some(km) = self.keys.km.as_mut() else {
-            self.stats.drops.wrong_phase += 1;
+        let Some(opened) = self.open_under_km(ctx, nonce, sealed) else {
             return;
         };
-        match open_setup_with(km.sealer(), nonce, sealed) {
+        match opened {
             Ok((cid, kc)) => {
                 // "Nodes of the same cluster simply ignore the message."
                 if self.cid != Some(cid) && self.bounded_neighbor_insert(ctx, cid, kc) {
@@ -1873,6 +1893,14 @@ impl ProtocolNode {
             self.handle_wrapped(ctx, from, cid, nonce, sealed);
             return;
         }
+        // Likewise for the setup broadcasts, which every neighbour hears.
+        match Message::peek_setup(payload) {
+            Some((FrameKind::Hello, nonce, sealed)) => {
+                return self.handle_hello(ctx, nonce, sealed)
+            }
+            Some((_, nonce, sealed)) => return self.handle_link_advert(ctx, nonce, sealed),
+            None => {}
+        }
         let msg = match Message::decode(payload) {
             Ok(m) => m,
             Err(_) => {
@@ -1881,10 +1909,8 @@ impl ProtocolNode {
             }
         };
         match msg {
-            Message::Hello { nonce, sealed } => self.handle_hello(ctx, nonce, &sealed),
-            Message::LinkAdvert { nonce, sealed } => self.handle_link_advert(ctx, nonce, &sealed),
-            Message::Wrapped { cid, nonce, sealed } => {
-                self.handle_wrapped(ctx, from, cid, nonce, &sealed)
+            Message::Hello { .. } | Message::LinkAdvert { .. } | Message::Wrapped { .. } => {
+                unreachable!("the peeks above take every setup and Step-2 frame")
             }
             Message::Revoke {
                 link,
@@ -2006,10 +2032,11 @@ impl App for ProtocolApp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::forward::{seal_setup, sealer};
+    use crate::forward::{open_setup_with, seal_setup, sealer};
     use crate::keys::Provisioner;
-    use crate::setup::{run_setup, NetworkHandle, SetupParams};
+    use crate::setup::{run_setup, Backend, NetworkHandle, Scenario, SetupParams};
     use wsn_crypto::authenc::AuthEnc;
+    use wsn_sim::shard::Shards;
 
     fn node(id: u32) -> ProtocolNode {
         let mut p = Provisioner::new(1);
@@ -2192,17 +2219,33 @@ mod tests {
 
     #[test]
     fn no_cached_sealer_opens_km_frames_after_erasure() {
-        let h = setup(ProtocolConfig::default());
         // Scenarios provision from stream 1 of the master seed.
         let km = Provisioner::new(wsn_sim::rng::derive_seed(17, 1)).km();
-        for id in h.sensor_ids() {
-            let n = h.sensor(id);
-            assert!(!n.holds_km());
-            assert!(
-                !opens_under(n, &km),
-                "node {id} still opens Km-sealed HELLOs after erasure"
-            );
-            assert!(built_sealers(n).is_empty(), "node {id} holds a sealer");
+        // The single-heap engine, and the sharded one, whose receivers
+        // open HELLOs and LINK adverts through a shared open.
+        for shards in [Shards::Single, Shards::Fixed(2)] {
+            let params = SetupParams {
+                n: 120,
+                density: 10.0,
+                seed: 17,
+                cfg: ProtocolConfig::default(),
+            };
+            let h = Scenario::new(params)
+                .backend(Backend::Sim { shards })
+                .run()
+                .handle;
+            for id in h.sensor_ids() {
+                let n = h.sensor(id);
+                assert!(!n.holds_km());
+                assert!(
+                    !opens_under(n, &km),
+                    "{shards:?}: node {id} still opens Km-sealed HELLOs after erasure"
+                );
+                assert!(
+                    built_sealers(n).is_empty(),
+                    "{shards:?}: node {id} holds a sealer"
+                );
+            }
         }
     }
 

@@ -56,6 +56,7 @@ const M_SEQ_RESERVE: u8 = 0x0B;
 const M_LINK_ADVERTISED: u8 = 0x0C;
 const M_HANDOFF_INTENT: u8 = 0x0D;
 const M_FAILOVER_IN: u8 = 0x0E;
+const M_REVOKE_APPLIED: u8 = 0x0F;
 
 const SNAP_VERSION: u8 = 1;
 
@@ -91,6 +92,15 @@ pub enum StateMutation {
         /// Whether phase 1 of two-phase revocation queued a pending
         /// link disclosure.
         two_phase: bool,
+    },
+    /// A revocation command fired by another sink was applied here: the
+    /// nodes were evicted, and the command's cluster keys and the
+    /// evicted nodes' `Ki` dropped.
+    RevokeApplied {
+        /// Cluster ids whose keys were deleted.
+        cids: Vec<ClusterId>,
+        /// Node ids evicted.
+        nodes: Vec<u32>,
     },
     /// A queued revocation was dropped because the chain was exhausted.
     RevokeExhausted,
@@ -214,6 +224,11 @@ impl StateMutation {
                 out.put_u32(*seq);
                 out.put_u8(*two_phase as u8);
             }
+            StateMutation::RevokeApplied { cids, nodes } => {
+                out.put_u8(M_REVOKE_APPLIED);
+                put_u32_list(out, cids);
+                put_u32_list(out, nodes);
+            }
             StateMutation::RevokeExhausted => out.put_u8(M_REVOKE_EXHAUSTED),
             StateMutation::RevealFlushed => out.put_u8(M_REVEAL_FLUSHED),
             StateMutation::CounterAccept { src, ctr } => {
@@ -313,6 +328,11 @@ impl StateMutation {
                     _ => return Err(ProtocolError::Malformed),
                 };
                 Ok(StateMutation::RevokeFired { seq, two_phase })
+            }
+            M_REVOKE_APPLIED => {
+                let cids = get_u32_list(buf)?;
+                let nodes = get_u32_list(buf)?;
+                Ok(StateMutation::RevokeApplied { cids, nodes })
             }
             M_REVOKE_EXHAUSTED => Ok(StateMutation::RevokeExhausted),
             M_REVEAL_FLUSHED => Ok(StateMutation::RevealFlushed),
@@ -607,6 +627,10 @@ mod tests {
             StateMutation::RevokeFired {
                 seq: 2,
                 two_phase: true,
+            },
+            StateMutation::RevokeApplied {
+                cids: vec![6],
+                nodes: vec![6, 7],
             },
             StateMutation::RevokeExhausted,
             StateMutation::RevealFlushed,

@@ -232,9 +232,9 @@ impl<'a> Scenario<'a> {
         // raises its dynamic mmap threshold when this block is freed,
         // which changes where the later allocations land.
         let registry = provisioner.registry().clone();
-        let cluster_keys: HashMap<ClusterId, Key128> = (0..params.n as u32)
-            .map(|id| (id, provisioner.cluster_key_of(id)))
-            .collect();
+        // Each node's material already holds its `Kci = F(KMC, i)`.
+        let cluster_keys: HashMap<ClusterId, Key128> =
+            materials.iter().map(|m| (m.id, m.kci)).collect();
         let cfg = Arc::new(params.cfg);
 
         let apps: Vec<ProtocolApp> = materials
@@ -575,7 +575,9 @@ impl NetworkHandle {
         assert!(!survivors.is_empty(), "cannot fail the last sink");
         let mut moves = Vec::new();
         for node in self.sensor_ids() {
-            if self.holder(node).is_some() {
+            // An evicted node's `Ki` is gone for good: every live sink
+            // dropped it when the revocation fired.
+            if self.holder(node).is_some() || self.sink(survivors[0]).evicted().contains(&node) {
                 continue;
             }
             let to = survivors
@@ -715,7 +717,10 @@ impl NetworkHandle {
     /// Evicts captured nodes: revokes their clusters and all neighboring
     /// clusters (paper §IV-D: clones could appear in "the group it
     /// originated from or its neighboring ones"). The detection mechanism
-    /// is assumed, per the paper; callers supply the culprit list.
+    /// is assumed, per the paper; callers supply the culprit list. Sink 0
+    /// issues the command; in a multi-sink network every other live sink
+    /// applies it when it fires ([`BaseStation::apply_revocation`]), so
+    /// no sink keeps a revoked cluster key or an evicted node's `Ki`.
     pub fn evict_nodes(&mut self, nodes: &[u32]) {
         let mut cids: Vec<ClusterId> = Vec::new();
         for &id in nodes {
@@ -727,8 +732,19 @@ impl NetworkHandle {
         }
         cids.sort_unstable();
         cids.dedup();
-        self.sink_mut(0).queue_revocation(cids, nodes.to_vec());
+        self.sink_mut(0)
+            .queue_revocation(cids.clone(), nodes.to_vec());
         self.sim.schedule_timer(0, TIMER_REVOKE, 1);
+        // Sink 0 alone broadcasts the command; every other live sink
+        // applies it as it fires.
+        let fires_at = self.sim.now() + 1;
+        self.sim.run_until(fires_at);
+        for k in 1..self.cfg.sinks.k() {
+            if self.sim.node_is_up(k) {
+                self.sink_mut(k)
+                    .apply_revocation(cids.clone(), nodes.to_vec());
+            }
+        }
         self.sim.run();
     }
 

@@ -75,7 +75,9 @@ pub trait Transport {
 
     /// The receive share the backend lends the frame being delivered
     /// (see [`RxShare`]), or `None` when it lends none and each frame is
-    /// opened on its own.
+    /// opened on its own. Both simulator engines lend one to every
+    /// receiver of a broadcast (the sharded engine per region), and the
+    /// sensors open Step-2 frames, HELLOs and LINK adverts through it.
     fn rx_share(&mut self) -> Option<&mut RxShare> {
         None
     }

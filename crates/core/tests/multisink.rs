@@ -6,9 +6,9 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
-use wsn_core::forward::{sealer, wrap_frame};
+use wsn_core::forward::{e2e_seal, sealer, wrap_frame};
 use wsn_core::join::join_tag;
-use wsn_core::msg::{Inner, Message, MAX_FRAME_BYTES};
+use wsn_core::msg::{DataUnit, Inner, Message, MAX_FRAME_BYTES};
 use wsn_core::node::{PendingReading, TIMER_JOIN, TIMER_RETX, TIMER_SEND};
 use wsn_core::prelude::*;
 use wsn_core::refresh::cluster_key_at_epoch;
@@ -820,5 +820,71 @@ proptest! {
         h.rehome_to_nearest();
         h.fail_sink(victim);
         assert_one_surviving_holder(&h, victim);
+    }
+}
+
+/// Eviction reaches every live sink. Sink 0 issues the revocation, but
+/// a victim's cluster key is replicated at every sink and its `Ki` can
+/// sit at any of them: when the command fires, each sink must drop the
+/// revoked cluster keys and the victim's `Ki`, and refuse (without an
+/// ACK) a clone's reading sealed under them, whichever sink it names.
+#[test]
+fn eviction_reaches_every_sink() {
+    let mut h = Scenario::new(SetupParams {
+        n: 60,
+        density: 12.0,
+        seed: 2005,
+        cfg: ProtocolConfig::default()
+            .with_sinks(2)
+            .with_recovery(RecoveryConfig::default()),
+    })
+    .run()
+    .handle;
+    h.establish_gradient();
+    h.rehome_to_nearest();
+    let victim = 2;
+    let keys = h.sensor(victim).extract_keys();
+    let (cid, kc) = keys.cluster.expect("the victim is clustered");
+    assert!(
+        h.sink_ids().iter().any(|&k| h.sink(k).holds(victim)),
+        "some sink holds the victim's Ki"
+    );
+    h.evict_nodes(&[victim]);
+
+    let now = h.sim().now();
+    for k in h.sink_ids() {
+        assert!(
+            h.sink(k).evicted().contains(&victim),
+            "sink {k}: not evicted"
+        );
+        assert!(!h.sink(k).holds(victim), "sink {k} kept the victim's Ki");
+        let ctr = 1_000 + u64::from(k);
+        let unit = DataUnit {
+            src: victim,
+            ctr: Some(ctr),
+            sealed: true,
+            body: e2e_seal(&keys.ki, victim, ctr, b"clone"),
+        };
+        let inner = Inner::SinkData { sink: k, unit };
+        let frame = wrap_frame(&sealer(&kc), cid, victim, 9_000 + ctr, now, 1, &inner);
+        let mut at_sink = Probe {
+            id: k,
+            now,
+            rng: StdRng::seed_from_u64(3),
+            sent: Vec::new(),
+        };
+        let (received, drops) = (h.sink(k).received.len(), h.sink(k).drops.total());
+        h.sink_mut(k).dispatch_message(&mut at_sink, &frame);
+        assert_eq!(
+            h.sink(k).received.len(),
+            received,
+            "sink {k} accepted a reading under revoked cid {cid}"
+        );
+        assert!(at_sink.sent.is_empty(), "sink {k} answered the clone");
+        assert_eq!(
+            h.sink(k).drops.total(),
+            drops + 1,
+            "sink {k}: drop not counted"
+        );
     }
 }

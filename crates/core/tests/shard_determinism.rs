@@ -19,6 +19,7 @@ use wsn_core::prelude::*;
 use wsn_core::setup::Backend;
 use wsn_sim::radio::RadioConfig;
 use wsn_sim::shard::Shards;
+use wsn_trace::TraceRecord;
 
 const N: usize = 60;
 const DENSITY: f64 = 10.0;
@@ -158,5 +159,53 @@ proptest! {
         let base = snapshot(seed, cfg(), RadioConfig::default(), 1);
         let other = snapshot(seed, cfg(), RadioConfig::default(), 4);
         prop_assert_eq!(base, other, "seed {} diverged between k = 1 and k = 4", seed);
+    }
+}
+
+/// Everything the setup phase itself leaves behind, on the sharded
+/// engine with `k` regions: the merged trace, the counters, the event
+/// count, every sensor's statistics and the setup report.
+fn setup_outputs(k: usize, loss: f64) -> (Vec<TraceRecord>, String, u64, Vec<String>, SetupReport) {
+    let outcome = Scenario::new(SetupParams {
+        n: 400,
+        density: DENSITY,
+        seed: 29,
+        cfg: ProtocolConfig::default(),
+    })
+    .radio(RadioConfig::default().with_loss(loss))
+    .trace(MemorySink::new())
+    .backend(Backend::Sim {
+        shards: Shards::Fixed(k),
+    })
+    .run();
+    let mut h = outcome.handle;
+    let trace = h.sim_mut().take_trace().expect("trace installed").drain();
+    let stats = h
+        .sensor_ids()
+        .into_iter()
+        .map(|id| format!("{:?}", h.sensor(id).stats))
+        .collect();
+    (
+        trace,
+        format!("{:?}", h.sim().counters()),
+        h.sim().events_processed(),
+        stats,
+        outcome.report,
+    )
+}
+
+/// The fan-out entries deliver a broadcast region by region; whatever the
+/// split, setup must leave the same bytes behind.
+#[test]
+fn setup_outputs_identical_across_region_counts() {
+    for loss in [0.0, 0.1] {
+        let base = setup_outputs(1, loss);
+        assert!(base.0.len() > 5_000, "{} trace records", base.0.len());
+        for k in [2, 4] {
+            assert!(
+                setup_outputs(k, loss) == base,
+                "k = {k}, loss {loss}: setup diverged"
+            );
+        }
     }
 }

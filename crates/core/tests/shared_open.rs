@@ -19,6 +19,7 @@
 //! changes no sensor's behaviour.
 
 use wsn_core::base_station::Reading;
+use wsn_core::keys::Provisioner;
 use wsn_core::msg::Message;
 use wsn_core::node::DropCounts;
 use wsn_core::prelude::*;
@@ -26,7 +27,8 @@ use wsn_core::transport::Transport;
 use wsn_sim::event::{SimTime, SECOND};
 use wsn_sim::link::{DeliveryHook, ScheduledCopy};
 use wsn_sim::node::{NodeId, RxShare, RxShareStats, TimerKey};
-use wsn_trace::TraceRecord;
+use wsn_sim::rng::derive_seed;
+use wsn_trace::{FrameKind, TraceRecord};
 
 /// Schedules every delivery unperturbed, one event per receiver.
 struct PassThrough;
@@ -297,4 +299,117 @@ fn a_share_kept_across_frames_changes_nothing() {
         "the forged copies were not rejected: {bad_auth}"
     );
     assert_eq!(stats(&kept), stats(&own));
+}
+
+/// Fresh sensors of `params()`, provisioned as the scenario provisions
+/// them: every one still holds `Km`, none has heard a HELLO.
+fn unset_sensors() -> Vec<ProtocolNode> {
+    let p = params();
+    let mut provisioner = Provisioner::new(derive_seed(p.seed, 1));
+    let cfg = std::sync::Arc::new(p.cfg);
+    (0..p.n as u32)
+        .map(|id| ProtocolNode::new(cfg.clone(), provisioner.provision(id)))
+        .collect()
+}
+
+#[test]
+fn a_share_kept_across_setup_frames_changes_nothing() {
+    // Every HELLO and LINK advert of a setup, each followed by a copy with
+    // a tag byte flipped, one with a body byte flipped, and one carrying
+    // the nonce of the setup frame sent before it.
+    let mut h = Scenario::new(params())
+        .trace(MemorySink::new())
+        .run()
+        .handle;
+    let mut trace = Vec::new();
+    drain_trace(&mut h, &mut trace);
+    let mut frames = Vec::new();
+    let mut last_nonce = None;
+    for r in &trace {
+        let TraceEvent::TxBroadcast { payload, .. } = &r.event else {
+            continue;
+        };
+        let Some((kind, nonce, sealed)) = Message::peek_setup(payload) else {
+            continue;
+        };
+        let mut forged_tag = payload.to_vec();
+        *forged_tag.last_mut().unwrap() ^= 1;
+        let mut forged_body = payload.to_vec();
+        forged_body[payload.len() - sealed.len() + 2] ^= 1;
+        frames.extend([
+            (r.node, payload.to_vec()),
+            (r.node, forged_tag),
+            (r.node, forged_body),
+        ]);
+        if let Some(other) = last_nonce {
+            let sealed = bytes::Bytes::copy_from_slice(sealed);
+            let renonced = match kind {
+                FrameKind::Hello => Message::Hello {
+                    nonce: other,
+                    sealed,
+                },
+                _ => Message::LinkAdvert {
+                    nonce: other,
+                    sealed,
+                },
+            };
+            frames.push((r.node, renonced.encode().to_vec()));
+        }
+        last_nonce = Some(nonce);
+    }
+    assert!(frames.len() > 200, "{} frames", frames.len());
+
+    // Two copies of the fresh network, fed the same frames from each
+    // sender's position: one through a share kept across all of them, one
+    // opening every frame on its own.
+    let topo = h.sim().topology();
+    let (mut kept, mut own) = (unset_sensors(), unset_sensors());
+    let mut t = Direct {
+        now: 0,
+        rng: rand::SeedableRng::seed_from_u64(3),
+        share: Some(RxShare::default()),
+    };
+    let mut u = Direct {
+        now: 0,
+        rng: rand::SeedableRng::seed_from_u64(3),
+        share: None,
+    };
+    for (from, frame) in &frames {
+        for &to in topo.neighbors(*from) {
+            kept[to as usize].dispatch_message(&mut t, *from, frame);
+            own[to as usize].dispatch_message(&mut u, *from, frame);
+        }
+    }
+    let state = |nodes: &[ProtocolNode]| -> Vec<String> {
+        nodes
+            .iter()
+            .map(|n| {
+                let keys = n.extract_keys();
+                format!(
+                    "{:?} {:?} {:?} {:?}",
+                    n.stats,
+                    n.role(),
+                    keys.cluster,
+                    keys.neighbor_keys
+                )
+            })
+            .collect()
+    };
+    let share = t.share.as_ref().unwrap().stats();
+    assert!(
+        share.reused as usize > frames.len(),
+        "too little sharing: {share:?} over {} frames",
+        frames.len()
+    );
+    let bad_auth: u64 = own.iter().map(|n| n.stats.drops.bad_auth).sum();
+    assert!(
+        bad_auth > 500,
+        "the forged copies were not rejected: {bad_auth}"
+    );
+    // The genuine HELLOs made members of everyone but the heads.
+    let members = own.iter().filter(|n| n.role() == Role::Member).count();
+    assert!(members > params().n / 2, "{members} members");
+    for (id, (kept, own)) in state(&kept).iter().zip(state(&own)).enumerate() {
+        assert_eq!(*kept, own, "node {id}: the kept share changed its state");
+    }
 }

@@ -39,10 +39,12 @@ pub enum EventKind {
         /// Frame payload.
         payload: Bytes,
     },
-    /// Radio delivery of one broadcast to every neighbour of `from`, in
-    /// neighbour order: one queue entry in place of one [`Self::Deliver`]
-    /// per receiver. Those would carry consecutive sequence numbers at
-    /// one fire time, so no other event could run between them.
+    /// Radio delivery of one broadcast to every neighbour of `from` (on
+    /// the sharded engine, every neighbour in the entry's region), in
+    /// neighbour order: one queue entry in place of one
+    /// [`Self::Deliver`] per receiver. Those would carry consecutive
+    /// sequence numbers at one fire time, so no other event could run
+    /// between them.
     Broadcast {
         /// Transmitting node.
         from: NodeId,

@@ -56,6 +56,7 @@
 pub mod energy;
 pub mod event;
 pub mod geom;
+pub mod hash;
 pub mod link;
 pub mod net;
 pub mod node;

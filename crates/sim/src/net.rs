@@ -3,6 +3,7 @@
 
 use crate::energy::EnergyMeter;
 use crate::event::{EventKind, EventQueue, SimTime};
+use crate::hash::FoldState;
 use crate::link::{DeliveryHook, IidLoss, LinkProcess};
 use crate::node::{Action, App, Ctx, NodeId, RxShare, TimerKey};
 use crate::radio::RadioConfig;
@@ -71,8 +72,9 @@ pub struct Simulator<A: App> {
     rng: StdRng,
     counters: Counters,
     /// Latest armed generation per (node, timer key); stale timer events
-    /// are dropped when popped.
-    timers: HashMap<(NodeId, TimerKey), u64>,
+    /// are dropped when popped. The simulator picks these keys, so the
+    /// table hashes with the non-keyed [`FoldState`].
+    timers: HashMap<(NodeId, TimerKey), u64, FoldState>,
     timer_gen: u64,
     scratch_actions: Vec<Action>,
     /// The receive share lent to every receiver of one delivery event
@@ -155,7 +157,7 @@ impl<A: App> Simulator<A> {
             radio,
             rng: StdRng::seed_from_u64(seed),
             counters: Counters::new(n),
-            timers: HashMap::new(),
+            timers: HashMap::default(),
             timer_gen: 0,
             scratch_actions: Vec::with_capacity(8),
             share: RxShare::default(),
@@ -202,7 +204,7 @@ impl<A: App> Simulator<A> {
             radio,
             rng: StdRng::seed_from_u64(seed),
             counters,
-            timers: HashMap::new(),
+            timers: HashMap::default(),
             timer_gen: 0,
             scratch_actions: Vec::with_capacity(8),
             share: RxShare::default(),

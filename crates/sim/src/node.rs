@@ -81,13 +81,14 @@ impl<'a> Ctx<'a> {
         self.actions.push(Action::CancelTimer(key));
     }
 
-    /// The receive share of the frame being delivered: during one
-    /// hook-free broadcast every receiver is lent the same share, so a
-    /// computation one receiver recorded for the frame can serve the
-    /// next. On the single-heap simulator a per-receiver delivery, and
-    /// every other hook, starts with an empty share, which is zeroed when
-    /// the event ends. The sharded engine never fans a frame out, so it
-    /// lends none (`None`).
+    /// The receive share of the frame being delivered: every receiver of
+    /// one fan-out entry is lent the same share, so a computation one
+    /// receiver recorded for the frame can serve the next. On the
+    /// single-heap simulator the entry is a hook-free broadcast; on the
+    /// sharded engine it is a broadcast's receivers in one region. A
+    /// per-receiver delivery, and every other hook, starts with an empty
+    /// share. Both engines zero the share when the event ends and always
+    /// lend one (`Some`).
     pub fn rx_share(&mut self) -> Option<&mut RxShare> {
         self.share.as_deref_mut()
     }
@@ -121,9 +122,10 @@ impl<'a> Ctx<'a> {
 /// once.
 ///
 /// The share holds an output and the exact input that produced it, as
-/// the concatenation of the caller's input parts. For a Step-2 open the
-/// parts are the key bytes, the nonce and the whole sealed frame, tag
-/// included, and the output is the verified plaintext. [`RxShare::open`]
+/// the concatenation of the caller's input parts. For a Step-2 open, and
+/// for a HELLO or LINK open under `Km`, the parts are the key bytes, the
+/// nonce and the whole sealed frame, tag included, and the output is the
+/// verified plaintext. [`RxShare::open`]
 /// hands out the recorded output only to a caller whose input is
 /// byte-for-byte the recorded one; any other caller computes its own
 /// output, which replaces the record. A failed computation leaves the

@@ -5,9 +5,18 @@
 //! every event order depend on the whole history. This module partitions
 //! the deployment area into a grid of **regions**, each with its own
 //! event heap, its own per-node RNG streams, and its own counters; radio
-//! deliveries whose receiver lives in another region cross over as
-//! **boundary events** through bounded channels once per conservative
-//! lookahead window.
+//! deliveries whose receivers live in another region cross over as
+//! **boundary events** through per-region-pair mailboxes once per
+//! conservative lookahead window, with one barrier per window.
+//!
+//! A broadcast is queued as one **fan-out entry** per region that holds
+//! any of its receivers, not one event per receiver. Processing the entry
+//! delivers to that region's receivers in neighbour order, each with its
+//! own loss draw, counters, trace record and processed-event count, and
+//! lends them all one [`RxShare`]
+//! ([`Ctx::rx_share`](crate::node::Ctx::rx_share)): the neighbours that
+//! hold the sender's key open the frame once per region. The share is
+//! zeroed when the entry ends. A unicast `send` stays one delivery event.
 //!
 //! # Why outputs are byte-identical across `WSN_SHARDS`
 //!
@@ -22,7 +31,10 @@
 //! - **A decomposition-independent event key.** Every event carries
 //!   `(time, origin, per-origin counter, target)`; keys are unique and
 //!   totally ordered, and each node consumes its own events in ascending
-//!   key order regardless of which shard hosts it.
+//!   key order regardless of which shard hosts it. A broadcast consumes
+//!   one counter per receiver, and its fan-out entries run each receiver
+//!   at that receiver's key position (see `EventKey`), so splitting the
+//!   receivers across regions changes no node's event order.
 //! - **A conservative lookahead window.** The radio cannot deliver a
 //!   frame in less than `airtime_us(1)` (propagation plus one byte on
 //!   air), so all shards can safely process the window
@@ -42,18 +54,19 @@
 //! and the full-featured single-heap engine drives every later phase.
 
 use crate::event::{EventKind, SimTime};
+use crate::hash::FoldState;
 use crate::net::Counters;
-use crate::node::{Action, App, Ctx, NodeId, TimerKey};
+use crate::node::{Action, App, Ctx, NodeId, RxShare, TimerKey};
 use crate::radio::RadioConfig;
 use crate::rng::derive_seed;
 use crate::topology::Topology;
+use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::Barrier;
+use std::sync::{Barrier, Mutex};
 use wsn_trace::{merge_shard_traces, BufferSink, TraceEvent, TraceRecord, TraceSink};
 
 /// Region-count selector for the simulation backend.
@@ -109,10 +122,21 @@ impl Shards {
 ///
 /// `origin` is the node whose activity created the event (the
 /// transmitter of a delivery, the owner of a timer), `ctr` its per-origin
-/// creation counter, and `target` breaks the one remaining tie — a
-/// broadcast fan-out scheduling several deliveries from one origin.
+/// creation counter, and `target` the receiver (the owner, for a timer).
 /// Derived lexicographic `Ord` gives `(time, seq)` ordering with a seq
 /// that no global scheduler needs to hand out.
+///
+/// A broadcast to `d` neighbours consumes the counters `ctr..ctr + d`,
+/// one per receiver in neighbour order, and is queued as one fan-out
+/// entry per region that holds a receiver, keyed `(at, origin, ctr,
+/// origin)`. No other event can sort between the receivers' keys (only
+/// the broadcast itself owns those counters of its origin), so an entry
+/// that delivers to its region's receivers in neighbour order at its own
+/// key position runs them where per-receiver events would. (An event a
+/// receiver creates for the same instant, a zero-delay timer, can key
+/// below the rest of the fan-out; it belongs to another node, and events
+/// of different nodes at one instant touch disjoint state, so running it
+/// after the fan-out changes nothing.)
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 struct EventKey {
     at: SimTime,
@@ -169,19 +193,27 @@ struct Shard<A> {
     /// Per-node trace sequence counters.
     trace_seq: Vec<u64>,
     heap: BinaryHeap<ShardEvent>,
-    /// Latest armed generation per (node, timer key).
-    timers: HashMap<(NodeId, TimerKey), u64>,
+    /// Latest armed generation per (node, timer key); the simulator picks
+    /// these keys, so the table hashes with the non-keyed
+    /// [`FoldState`].
+    timers: HashMap<(NodeId, TimerKey), u64, FoldState>,
     /// Locally indexed counters; scattered to global ids on merge.
     counters: Counters,
     sink: Option<BufferSink>,
     scratch: Vec<Action>,
+    /// The receive share lent to every receiver of one fan-out entry
+    /// (see [`Ctx::rx_share`]); empty between entries.
+    share: RxShare,
+    /// Per destination region: whether the broadcast being queued already
+    /// has its fan-out entry there. All false between broadcasts.
+    reached: Vec<bool>,
     now: SimTime,
     events: u64,
 }
 
 impl<A: App> Shard<A> {
-    /// An empty region with room for `nodes` nodes.
-    fn with_capacity(nodes: usize) -> Self {
+    /// An empty region with room for `nodes` nodes, one of `regions`.
+    fn with_capacity(nodes: usize, regions: usize) -> Self {
         Shard {
             nodes: Vec::with_capacity(nodes),
             apps: Vec::with_capacity(nodes),
@@ -189,10 +221,12 @@ impl<A: App> Shard<A> {
             ctrs: Vec::with_capacity(nodes),
             trace_seq: Vec::with_capacity(nodes),
             heap: BinaryHeap::new(),
-            timers: HashMap::new(),
+            timers: HashMap::default(),
             counters: Counters::new(nodes),
             sink: None,
             scratch: Vec::with_capacity(8),
+            share: RxShare::default(),
+            reached: vec![false; regions],
             now: 0,
             events: 0,
         }
@@ -223,49 +257,76 @@ impl<A: App> Shard<A> {
     /// destination shard).
     fn process_until(&mut self, end: SimTime, env: &Env, out: &mut [Vec<ShardEvent>]) {
         while self.heap.peek().is_some_and(|ev| ev.key.at < end) {
-            let ev = self.heap.pop().expect("peeked event vanished");
-            self.now = ev.key.at;
-            self.events += 1;
-            match ev.kind {
-                EventKind::Start(id) => {
-                    self.dispatch(id, env, out, |app, ctx| app.on_start(ctx));
+            self.process_next(env, out);
+        }
+    }
+
+    /// Pops and processes the earliest local event: a start hook, a timer,
+    /// a unicast delivery, or a broadcast's fan-out entry, which delivers
+    /// to this region's receivers in neighbour order and counts one event
+    /// per receiver. The receive share is zeroed before this returns.
+    fn process_next(&mut self, env: &Env, out: &mut [Vec<ShardEvent>]) {
+        let ev = self.heap.pop().expect("no event to process");
+        self.now = ev.key.at;
+        match ev.kind {
+            EventKind::Start(id) => {
+                self.events += 1;
+                self.dispatch(id, env, out, |app, ctx| app.on_start(ctx));
+            }
+            EventKind::Timer { node, key, gen } => {
+                self.events += 1;
+                if self.timers.get(&(node, key)) == Some(&gen) {
+                    self.timers.remove(&(node, key));
+                    let li = env.local_of[node as usize] as usize;
+                    self.trace(li, node, self.now, || TraceEvent::TimerFired { key });
+                    self.dispatch(node, env, out, |app, ctx| app.on_timer(ctx, key));
                 }
-                EventKind::Timer { node, key, gen } => {
-                    if self.timers.get(&(node, key)) == Some(&gen) {
-                        self.timers.remove(&(node, key));
-                        let li = env.local_of[node as usize] as usize;
-                        self.trace(li, node, self.now, || TraceEvent::TimerFired { key });
-                        self.dispatch(node, env, out, |app, ctx| app.on_timer(ctx, key));
+            }
+            EventKind::Deliver { from, to, payload } => {
+                self.deliver(from, to, &payload, env, out);
+            }
+            EventKind::Broadcast { from, payload } => {
+                for &to in env.topo.neighbors(from) {
+                    if env.region_of[to as usize] as usize == env.me {
+                        self.deliver(from, to, &payload, env, out);
                     }
-                }
-                EventKind::Deliver { from, to, payload } => {
-                    let li = env.local_of[to as usize] as usize;
-                    // Per-receiver channel loss from the *receiver's*
-                    // stream — same draw discipline as `IidLoss` (no draw
-                    // at all on a lossless radio).
-                    if env.radio.loss > 0.0 && self.rngs[li].gen::<f64>() < env.radio.loss {
-                        self.trace(li, to, self.now, || TraceEvent::RadioDrop {
-                            from,
-                            bytes: payload.len() as u32,
-                        });
-                        continue;
-                    }
-                    self.counters.rx_msgs[li] += 1;
-                    self.counters.rx_bytes[li] += payload.len() as u64;
-                    self.counters.energy[li].record_rx(payload.len(), env.radio);
-                    self.trace(li, to, self.now, || TraceEvent::Rx {
-                        from,
-                        payload: payload.clone(),
-                    });
-                    self.dispatch(to, env, out, |app, ctx| app.on_message(ctx, from, &payload));
-                }
-                // A broadcast's receivers can sit in other regions, so this
-                // engine schedules one `Deliver` per receiver instead.
-                EventKind::Broadcast { .. } => {
-                    unreachable!("the sharded engine never queues a fan-out entry")
                 }
             }
         }
+        self.share.clear();
+    }
+
+    /// One frame reaching one local receiver, counted as one event: the
+    /// channel-loss draw, then the receive counters, the trace record and
+    /// the app's `on_message`.
+    fn deliver(
+        &mut self,
+        from: NodeId,
+        to: NodeId,
+        payload: &Bytes,
+        env: &Env,
+        out: &mut [Vec<ShardEvent>],
+    ) {
+        self.events += 1;
+        let li = env.local_of[to as usize] as usize;
+        // Per-receiver channel loss from the *receiver's* stream — same
+        // draw discipline as `IidLoss` (no draw at all on a lossless
+        // radio).
+        if env.radio.loss > 0.0 && self.rngs[li].gen::<f64>() < env.radio.loss {
+            self.trace(li, to, self.now, || TraceEvent::RadioDrop {
+                from,
+                bytes: payload.len() as u32,
+            });
+            return;
+        }
+        self.counters.rx_msgs[li] += 1;
+        self.counters.rx_bytes[li] += payload.len() as u64;
+        self.counters.energy[li].record_rx(payload.len(), env.radio);
+        self.trace(li, to, self.now, || TraceEvent::Rx {
+            from,
+            payload: payload.clone(),
+        });
+        self.dispatch(to, env, out, |app, ctx| app.on_message(ctx, from, payload));
     }
 
     fn dispatch(
@@ -289,8 +350,7 @@ impl<A: App> Shard<A> {
                     .as_mut()
                     .map(|s| s as &mut (dyn TraceSink + 'static)),
                 trace_seq: &mut self.trace_seq[li],
-                // One receiver per delivery: nothing to share.
-                share: None,
+                share: Some(&mut self.share),
             };
             f(&mut self.apps[li], &mut ctx);
         }
@@ -300,11 +360,10 @@ impl<A: App> Shard<A> {
         self.scratch = actions;
     }
 
-    /// Routes a delivery to its receiver's region: the local heap, or the
-    /// outgoing boundary batch for another shard.
+    /// Routes an event to region `dest`: the local heap, or the outgoing
+    /// boundary batch for another shard.
     #[inline]
-    fn route(&mut self, ev: ShardEvent, to: NodeId, env: &Env, out: &mut [Vec<ShardEvent>]) {
-        let dest = env.region_of[to as usize] as usize;
+    fn route(&mut self, ev: ShardEvent, dest: usize, env: &Env, out: &mut [Vec<ShardEvent>]) {
         if dest == env.me {
             self.heap.push(ev);
         } else {
@@ -340,26 +399,28 @@ impl<A: App> Shard<A> {
                         neighbors,
                     });
                 }
-                for &to in env.topo.neighbors(id) {
-                    let key = EventKey {
-                        at,
-                        origin: id,
-                        ctr: self.next_ctr(li),
-                        target: to,
-                    };
-                    self.route(
-                        ShardEvent {
-                            key,
-                            kind: EventKind::Deliver {
-                                from: id,
-                                to,
-                                payload: payload.clone(),
-                            },
-                        },
-                        to,
-                        env,
-                        out,
-                    );
+                // One counter per receiver, in neighbour order, and one
+                // fan-out entry per region that holds a receiver.
+                let neighbors = env.topo.neighbors(id);
+                let key = EventKey {
+                    at,
+                    origin: id,
+                    ctr: self.ctrs[li],
+                    target: id,
+                };
+                self.ctrs[li] += neighbors.len() as u64;
+                for &to in neighbors {
+                    let dest = env.region_of[to as usize] as usize;
+                    if !std::mem::replace(&mut self.reached[dest], true) {
+                        let kind = EventKind::Broadcast {
+                            from: id,
+                            payload: payload.clone(),
+                        };
+                        self.route(ShardEvent { key, kind }, dest, env, out);
+                    }
+                }
+                for &to in neighbors {
+                    self.reached[env.region_of[to as usize] as usize] = false;
                 }
             }
             Action::Send(to, payload) => {
@@ -383,19 +444,13 @@ impl<A: App> Shard<A> {
                         ctr: self.next_ctr(li),
                         target: to,
                     };
-                    self.route(
-                        ShardEvent {
-                            key,
-                            kind: EventKind::Deliver {
-                                from: id,
-                                to,
-                                payload,
-                            },
-                        },
+                    let kind = EventKind::Deliver {
+                        from: id,
                         to,
-                        env,
-                        out,
-                    );
+                        payload,
+                    };
+                    let dest = env.region_of[to as usize] as usize;
+                    self.route(ShardEvent { key, kind }, dest, env, out);
                 }
             }
             Action::SetTimer(key, delay) => {
@@ -491,7 +546,10 @@ impl<A: App> ShardedSimulator<A> {
         for &r in &region_of {
             sizes[r as usize] += 1;
         }
-        let mut shards: Vec<Shard<A>> = sizes.into_iter().map(Shard::with_capacity).collect();
+        let mut shards: Vec<Shard<A>> = sizes
+            .into_iter()
+            .map(|size| Shard::with_capacity(size, regions))
+            .collect();
         for id in 0..n as NodeId {
             let shard = &mut shards[region_of[id as usize] as usize];
             local_of[id as usize] = shard.nodes.len() as u32;
@@ -630,31 +688,23 @@ impl<A: App + Send> ShardedSimulator<A> {
             self.shards[0].process_until(SimTime::MAX, &env, &mut out);
             debug_assert!(out[0].is_empty());
         } else {
-            // One bounded channel per ordered shard pair; each carries
-            // exactly one boundary batch per window.
-            let mut txs: Vec<Vec<Option<SyncSender<Vec<ShardEvent>>>>> =
-                (0..k).map(|_| (0..k).map(|_| None).collect()).collect();
-            let mut rxs: Vec<Vec<Option<Receiver<Vec<ShardEvent>>>>> =
-                (0..k).map(|_| (0..k).map(|_| None).collect()).collect();
-            for i in 0..k {
-                for j in 0..k {
-                    if i != j {
-                        let (tx, rx) = sync_channel(1);
-                        txs[i][j] = Some(tx);
-                        rxs[j][i] = Some(rx);
-                    }
-                }
-            }
-            let mins: Vec<AtomicU64> = (0..k).map(|_| AtomicU64::new(0)).collect();
+            // Per window parity: one mailbox per ordered region pair, each
+            // holding one boundary batch, and one published minimum per
+            // region (see `run_region`).
+            let mail: Vec<Mutex<Vec<ShardEvent>>> =
+                (0..2 * k * k).map(|_| Mutex::new(Vec::new())).collect();
+            let mins: Vec<AtomicU64> = (0..2 * k).map(|_| AtomicU64::new(0)).collect();
             let barrier = Barrier::new(k);
-            let (mins, barrier) = (&mins, &barrier);
+            let exchange = Exchange {
+                mail: &mail,
+                mins: &mins,
+                barrier: &barrier,
+            };
             let window = self.window;
             let (topo, radio) = (&self.topo, &self.radio);
             let (region_of, local_of) = (&self.region_of[..], &self.local_of[..]);
             std::thread::scope(|scope| {
-                for (me, ((shard, tx_row), rx_row)) in
-                    self.shards.iter_mut().zip(txs).zip(rxs).enumerate()
-                {
+                for (me, shard) in self.shards.iter_mut().enumerate() {
                     scope.spawn(move || {
                         let env = Env {
                             topo,
@@ -663,7 +713,7 @@ impl<A: App + Send> ShardedSimulator<A> {
                             local_of,
                             me,
                         };
-                        run_region(shard, env, window, tx_row, rx_row, mins, barrier);
+                        run_region(shard, env, window, exchange);
                     });
                 }
             });
@@ -673,56 +723,73 @@ impl<A: App + Send> ShardedSimulator<A> {
     }
 }
 
+/// What the region workers share: per window parity, the boundary
+/// mailboxes and the published minima, and the barrier that ends each
+/// window's posting.
+#[derive(Clone, Copy)]
+struct Exchange<'a> {
+    /// `mail[(parity * k + from) * k + to]`: the batch region `from`
+    /// posts for region `to` in a window of that parity.
+    mail: &'a [Mutex<Vec<ShardEvent>>],
+    /// `mins[parity * k + region]`: the earliest event time `region`
+    /// knows of, its heap and its posted batches included.
+    mins: &'a [AtomicU64],
+    barrier: &'a Barrier,
+}
+
 /// One region worker's windowed event loop.
 ///
-/// Each iteration: publish the local minimum pending time, agree on the
-/// global minimum `T` at a barrier, process everything in
-/// `[T, T + window)`, then exchange boundary batches (send all, then
-/// receive all — the channels hold one batch each, so sends never
-/// block). Termination is the window where every region publishes an
-/// empty heap; batches are always drained before publishing, so nothing
-/// can be in flight at that point.
-fn run_region<A: App>(
-    shard: &mut Shard<A>,
-    env: Env,
-    window: SimTime,
-    txs: Vec<Option<SyncSender<Vec<ShardEvent>>>>,
-    rxs: Vec<Option<Receiver<Vec<ShardEvent>>>>,
-    mins: &[AtomicU64],
-    barrier: &Barrier,
-) {
-    let k = mins.len();
+/// Each iteration: post the boundary batches the last window produced,
+/// publish the earliest time this region knows of (its heap and those
+/// batches), meet every region at the barrier, take the batches posted
+/// for this region, and process everything in `[T, T + window)`, where
+/// `T` is the minimum over all published times, which is the earliest
+/// pending event anywhere. That is one synchronization per window. The
+/// mailboxes and minima are double-buffered by window parity: a region
+/// writes window `w + 2`'s slots only after passing window `w + 1`'s
+/// barrier, which every region reaches only after reading window `w`'s
+/// slots. Termination is the window where every region publishes an
+/// empty heap and empty batches: nothing is pending or in flight
+/// anywhere, and every region reads the same minima, so all of them
+/// stop there.
+fn run_region<A: App>(shard: &mut Shard<A>, env: Env, window: SimTime, ex: Exchange) {
+    let k = ex.mins.len() / 2;
     let mut out: Vec<Vec<ShardEvent>> = (0..k).map(|_| Vec::new()).collect();
-    loop {
-        let local_min = shard.heap.peek().map(|e| e.key.at).unwrap_or(u64::MAX);
+    let mut end: SimTime = 0;
+    for parity in [0, 1].into_iter().cycle() {
+        let mail = &ex.mail[parity * k * k..(parity + 1) * k * k];
+        let mins = &ex.mins[parity * k..(parity + 1) * k];
+        let mut local_min = shard.heap.peek().map_or(SimTime::MAX, |e| e.key.at);
+        for (to, batch) in out.iter_mut().enumerate() {
+            if let Some(at) = batch.iter().map(|e| e.key.at).min() {
+                local_min = local_min.min(at);
+                let mut slot = mail[env.me * k + to].lock().expect("mailbox poisoned");
+                debug_assert!(slot.is_empty(), "mailbox read before reuse");
+                // The slot's empty vector comes back for the next batch.
+                std::mem::swap(&mut *slot, batch);
+            }
+        }
         // Barrier waits synchronize memory; Relaxed suffices.
         mins[env.me].store(local_min, Ordering::Relaxed);
-        barrier.wait();
+        ex.barrier.wait();
+        for from in (0..k).filter(|&from| from != env.me) {
+            let batch =
+                std::mem::take(&mut *mail[from * k + env.me].lock().expect("mailbox poisoned"));
+            for ev in batch {
+                debug_assert!(ev.key.at >= end, "boundary event inside the window");
+                shard.heap.push(ev);
+            }
+        }
         let t = mins
             .iter()
             .map(|m| m.load(Ordering::Relaxed))
             .min()
             .expect("at least one region");
-        // Second barrier: everyone has read this window's minima before
-        // anyone publishes the next window's.
-        barrier.wait();
-        if t == u64::MAX {
+        if t == SimTime::MAX {
             return;
         }
-        let end = t.saturating_add(window);
+        end = t.saturating_add(window);
         shard.process_until(end, &env, &mut out);
-        for (j, tx) in txs.iter().enumerate() {
-            if let Some(tx) = tx {
-                tx.send(std::mem::take(&mut out[j]))
-                    .expect("peer region hung up");
-            }
-        }
-        for rx in rxs.iter().flatten() {
-            for ev in rx.recv().expect("peer region hung up") {
-                debug_assert!(ev.key.at >= end, "boundary event inside the window");
-                shard.heap.push(ev);
-            }
-        }
     }
 }
 
@@ -834,6 +901,137 @@ mod tests {
         assert_eq!(one, run(4));
         // Global seqs are dense after the merge.
         assert!(one.iter().enumerate().all(|(i, r)| r.seq == i as u64));
+    }
+
+    /// Opens every frame it hears through the receive share (the "open"
+    /// copies the payload) and relays the first one; every seventh node
+    /// starts a broadcast of its own.
+    struct Sharer {
+        heard: u64,
+        relayed: bool,
+    }
+
+    fn sharer(_: NodeId) -> Sharer {
+        Sharer {
+            heard: 0,
+            relayed: false,
+        }
+    }
+
+    impl App for Sharer {
+        fn on_start(&mut self, ctx: &mut Ctx) {
+            if ctx.id().is_multiple_of(7) {
+                self.relayed = true;
+                ctx.broadcast(vec![ctx.id() as u8; 6]);
+            }
+        }
+        fn on_message(&mut self, ctx: &mut Ctx, _from: NodeId, payload: &[u8]) {
+            let share = ctx.rx_share().expect("every delivery is lent a share");
+            let opened = share.open(&[payload], |buf| {
+                buf.extend_from_slice(payload);
+                Ok::<(), ()>(())
+            });
+            assert_eq!(opened, Ok(payload), "a share served another frame");
+            self.heard += 1;
+            if !std::mem::replace(&mut self.relayed, true) {
+                ctx.broadcast(payload.to_vec());
+            }
+        }
+    }
+
+    /// Runs the windowed protocol of `run_region` on one thread, one event
+    /// at a time, calling `after_each` with the region after every event.
+    fn step_regions<A: App>(sim: &mut ShardedSimulator<A>, mut after_each: impl FnMut(&Shard<A>)) {
+        let k = sim.shards.len();
+        while let Some(t) = sim
+            .shards
+            .iter()
+            .filter_map(|s| s.heap.peek())
+            .map(|e| e.key.at)
+            .min()
+        {
+            let end = t + sim.window;
+            let mut crossing: Vec<Vec<ShardEvent>> = (0..k).map(|_| Vec::new()).collect();
+            for (me, shard) in sim.shards.iter_mut().enumerate() {
+                let env = Env {
+                    topo: &sim.topo,
+                    radio: &sim.radio,
+                    region_of: &sim.region_of,
+                    local_of: &sim.local_of,
+                    me,
+                };
+                while shard.heap.peek().is_some_and(|e| e.key.at < end) {
+                    shard.process_next(&env, &mut crossing);
+                    after_each(shard);
+                }
+            }
+            for (shard, batch) in sim.shards.iter_mut().zip(crossing) {
+                shard.heap.extend(batch);
+            }
+        }
+    }
+
+    #[test]
+    fn fanout_entries_share_one_open_and_zero_it() {
+        let topo = || Topology::random(&TopologyConfig::with_density(200, 10.0), 4);
+        // One computed open per region a broadcast reaches; every other
+        // receiver in that region reuses it.
+        let t = topo();
+        let region_count = |regions: &[u32], id: NodeId| {
+            let mut seen: Vec<u32> = t
+                .neighbors(id)
+                .iter()
+                .map(|&n| regions[n as usize])
+                .collect();
+            seen.sort_unstable();
+            seen.dedup();
+            seen.len() as u64
+        };
+        let mut base = None;
+        for k in [1, 2, 4] {
+            let regions = assign_regions(&t, k);
+            let mut stepped = ShardedSimulator::new(topo(), RadioConfig::default(), 3, k, sharer);
+            let mut popped = 0;
+            step_regions(&mut stepped, |shard| {
+                popped += 1;
+                assert!(
+                    shard.share.is_empty(),
+                    "k = {k}: the share outlived its entry"
+                );
+            });
+            let mut threaded = ShardedSimulator::new(topo(), RadioConfig::default(), 3, k, sharer);
+            threaded.run();
+            let stats = |sim: &ShardedSimulator<Sharer>| {
+                assert!(sim.shards.iter().all(|s| s.share.is_empty()));
+                sim.shards.iter().fold((0, 0), |(c, r), s| {
+                    (c + s.share.stats().computed, r + s.share.stats().reused)
+                })
+            };
+            let (computed, reused) = stats(&stepped);
+            assert_eq!(stats(&threaded), (computed, reused), "k = {k}");
+            let events = stepped.events_processed();
+            assert_eq!(threaded.events_processed(), events, "k = {k}");
+
+            let (_, apps, counters) = stepped.into_parts();
+            let senders: Vec<NodeId> = (0..200)
+                .filter(|&id| counters.tx_msgs[id as usize] > 0)
+                .collect();
+            assert!(senders.len() > 150, "the flood died out");
+            let deliveries: u64 = senders.iter().map(|&id| t.degree(id) as u64).sum();
+            let entries: u64 = senders.iter().map(|&id| region_count(&regions, id)).sum();
+            assert_eq!(
+                (computed, reused),
+                (entries, deliveries - entries),
+                "k = {k}"
+            );
+            // One heap entry per start and per region a broadcast reaches,
+            // but one counted event per start and per receiver.
+            assert_eq!(popped, 200 + entries, "k = {k}");
+            assert_eq!(events, 200 + deliveries, "k = {k}");
+            let heard: Vec<u64> = apps.iter().map(|a| a.heard).collect();
+            assert_eq!(heard.iter().sum::<u64>(), deliveries);
+            assert_eq!(*base.get_or_insert(heard.clone()), heard, "k = {k}");
+        }
     }
 
     #[test]
